@@ -51,7 +51,7 @@ func main() {
 	defaultBudget := flag.Int("default-budget", 50_000_000, "per-request expansion budget when the request sets none")
 	maxBudget := flag.Int("max-budget", 500_000_000, "cap on the per-request expansion budget")
 	every := flag.Int("checkpoint-every", 64, "journal a checkpoint every this many branches (0 disables periodic checkpoints)")
-	compactAbove := flag.Int("compact-above", 256, "compact the store journal above this many records (0 disables)")
+	compactAbove := flag.Int("compact-above", 256, "record-count floor for store compaction: compact once above it and dead bytes exceed live bytes (0 disables)")
 	sync := flag.Bool("sync", true, "fsync the store journal after every append")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight solves on shutdown")
 	flag.Parse()

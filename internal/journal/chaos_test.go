@@ -362,3 +362,71 @@ func TestCompactTempSyncFailureIsRetryable(t *testing.T) {
 		t.Fatalf("leftover temp files: %v", matches)
 	}
 }
+
+// TestCompactWriteFaultIsRetryable: Compact writes its whole image to
+// the temp file in one Write, so a short write or ENOSPC there aborts
+// the compact before the rename. The live journal must be
+// byte-identical, no temp file may remain, the log must stay usable
+// (not sticky) for appends, and a later Compact must succeed.
+func TestCompactWriteFaultIsRetryable(t *testing.T) {
+	faults := []struct {
+		name string
+		f    faultfs.Fault
+	}{
+		{"short-write", faultfs.ShortWrite()},
+		{"enospc", faultfs.ENOSPC()},
+	}
+	for _, fault := range faults {
+		t.Run(fault.name, func(t *testing.T) {
+			in, l, path := openInjected(t, 13)
+			shape := consumerShapes[1].rec // multi-KB checkpoint records
+			for i := 0; i < 4; i++ {
+				if err := l.Append(shape(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep := [][]byte{shape(2), shape(3)}
+			writes := in.Count(faultfs.OpWrite)
+			in.FailNth(faultfs.OpWrite, writes+1, fault.f)
+			if err := l.Compact(keep); err == nil {
+				t.Fatal("compact with a failing temp-file write reported success")
+			}
+			if got := in.Count(faultfs.OpWrite) - writes; got != 1 {
+				t.Fatalf("compact issued %d writes, want 1", got)
+			}
+			if l.Failed() != nil {
+				t.Fatalf("temp-file write failure must not poison the journal: %v", l.Failed())
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+				t.Fatal("aborted compact modified the live journal")
+			}
+			if matches, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*.tmp*")); len(matches) != 0 {
+				t.Fatalf("leftover temp files: %v", matches)
+			}
+			if l.Len() != 4 || l.Size() != int64(len(before)) {
+				t.Fatalf("aborted compact changed Len/Size to %d/%d", l.Len(), l.Size())
+			}
+			if err := l.Append(shape(4)); err != nil {
+				t.Fatalf("append after aborted compact: %v", err)
+			}
+			keep = append(keep, shape(4))
+			if err := l.Compact(keep); err != nil {
+				t.Fatalf("compact retry: %v", err)
+			}
+			l.Close()
+			got := mustReopenRecords(t, path)
+			if len(got) != len(keep) {
+				t.Fatalf("reopen after retried compact: %d records, want %d", len(got), len(keep))
+			}
+			for i := range keep {
+				if !bytes.Equal(got[i], keep[i]) {
+					t.Fatalf("record %d differs after retried compact", i)
+				}
+			}
+		})
+	}
+}

@@ -148,6 +148,10 @@ func AppendRecord(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// RecordSize is the encoded (on-disk) size of a record carrying a
+// payload of payloadLen bytes: what it adds to Size when appended.
+func RecordSize(payloadLen int) int64 { return headerSize + int64(payloadLen) }
+
 // recordAt decodes the record starting at off in buf. It returns the
 // payload (aliasing buf), the record's total encoded size, and whether
 // a fully-valid record starts there. It is the single decoder shared
@@ -381,13 +385,15 @@ func syncDir(path string) error {
 }
 
 // Compact atomically replaces the log's contents with the given
-// records (typically just the latest snapshot): the new log is written
-// to a temp file in the same directory, fsynced, and renamed over the
-// old one, so a crash at any point leaves either the old log or the
-// new one — never a mix. A directory-fsync failure after the rename is
-// surfaced (the rename may not be durable) and sticky-fails the log,
-// but the in-memory handle is swapped to the renamed file first so no
-// appends could land on the unlinked inode.
+// records (typically just the latest snapshot): the new log image is
+// built in memory, written to a temp file in the same directory with
+// one Write, fsynced, and renamed over the old one, so a crash at any
+// point leaves either the old log or the new one — never a mix. A
+// failed or short temp-file write removes the temp file and leaves the
+// log untouched and usable. A directory-fsync failure after the rename
+// is surfaced (the rename may not be durable) and sticky-fails the
+// log, but the in-memory handle is swapped to the renamed file first so
+// no appends could land on the unlinked inode.
 func (l *Log) Compact(keep [][]byte) error {
 	if l.failed != nil {
 		return l.failed
@@ -405,10 +411,14 @@ func (l *Log) Compact(keep [][]byte) error {
 	}
 	var buf []byte
 	for _, rec := range keep {
-		buf = AppendRecord(buf[:0], rec)
-		if _, err := tmp.Write(buf); err != nil {
-			return fail(err)
-		}
+		buf = AppendRecord(buf, rec)
+	}
+	n, err := tmp.Write(buf)
+	if err == nil && n < len(buf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
 		return fail(err)

@@ -52,9 +52,11 @@ type Config struct {
 	// processed branches (0 disables; then only suspension checkpoints
 	// are journaled and kill -9 mid-solve loses the partial work).
 	CheckpointEvery int
-	// CompactAbove compacts the store journal down to its live records
-	// (all verdicts + the latest checkpoint per unfinished instance)
-	// when it holds more than this many records (0 disables).
+	// CompactAbove is the record-count floor for compacting the store
+	// journal down to its live records (all verdicts + the latest
+	// checkpoint per unfinished instance): the store compacts once it
+	// holds more than this many records and its dead bytes exceed its
+	// live bytes (0 disables compaction).
 	CompactAbove int
 	// Sync selects fsync-per-append for the store journal. Verdict
 	// records are always synced before being served; this flag extends

@@ -35,7 +35,9 @@ const serviceFaultEnv = "RINGROBOTS_SERVICE_FAULT"
 
 // TestServiceFaultHelper is the subprocess body: one service leg that
 // solves (or resumes) the configured instance, reporting the outcome on
-// stdout as "RESULT resumed=<bool> verdict=<hex>".
+// stdout as "RESULT resumed=<bool> verdict=<hex>". Every leg, killed or
+// not, also reports its store compactions as "COMPACTIONS <n>" (printed
+// just before the SIGKILL on a crashing leg).
 func TestServiceFaultHelper(t *testing.T) {
 	if os.Getenv(serviceFaultEnv) != "1" {
 		t.Skip("not a service fault-helper invocation")
@@ -56,9 +58,14 @@ func TestServiceFaultHelper(t *testing.T) {
 	cfg.CheckpointEvery = 2
 	cfg.CompactAbove = atoi("RINGROBOTS_SERVICE_COMPACT")
 	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	var svc *Service
+	reportCompactions := func() {
+		fmt.Printf("COMPACTIONS %d\n", svc.Metrics().storeCompactions.Load())
+	}
 	if crashAfter := int64(atoi("RINGROBOTS_SERVICE_CRASH_AFTER")); crashAfter > 0 {
 		cfg.BranchHook = func(done int64) {
 			if done >= crashAfter {
+				reportCompactions()
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			}
 		}
@@ -72,6 +79,7 @@ func TestServiceFaultHelper(t *testing.T) {
 	if resp.Status != StatusVerdict || resp.Verdict == nil {
 		fail("solve: status %v err %v", resp.Status, resp.Err)
 	}
+	reportCompactions()
 	fmt.Printf("RESULT resumed=%v verdict=%s\n", resp.Resumed, hex.EncodeToString(EncodeVerdict(*resp.Verdict)))
 	if err := svc.Shutdown(context.Background()); err != nil {
 		fail("shutdown: %v", err)
@@ -114,7 +122,7 @@ func TestServiceCrashResumeEquivalence(t *testing.T) {
 	want := canon(verdictOf(solveDirect(t, inst)))
 	storePath := filepath.Join(t.TempDir(), "store.log")
 	rng := rand.New(rand.NewSource(11))
-	kills := 0
+	kills, compactions := 0, 0
 	var out []byte
 	for spawns := 0; ; spawns++ {
 		if spawns > 300 {
@@ -131,6 +139,15 @@ func TestServiceCrashResumeEquivalence(t *testing.T) {
 			"RINGROBOTS_SERVICE_CRASH_AFTER="+strconv.Itoa(crashAfter),
 		)
 		out, err = cmd.CombinedOutput()
+		for _, line := range strings.Split(string(out), "\n") {
+			if c, ok := strings.CutPrefix(line, "COMPACTIONS "); ok {
+				n, cerr := strconv.Atoi(c)
+				if cerr != nil {
+					t.Fatalf("bad compaction report %q", line)
+				}
+				compactions += n
+			}
+		}
 		if err == nil {
 			break
 		}
@@ -145,6 +162,9 @@ func TestServiceCrashResumeEquivalence(t *testing.T) {
 	}
 	if kills == 0 {
 		t.Errorf("no SIGKILL landed across the drain")
+	}
+	if compactions == 0 {
+		t.Errorf("no store compaction ran across the drain; crashes never raced a rewrite")
 	}
 	var result string
 	for _, line := range strings.Split(string(out), "\n") {
@@ -176,5 +196,5 @@ func TestServiceCrashResumeEquivalence(t *testing.T) {
 	if got := canon(*resp.Verdict); got != want {
 		t.Errorf("stored verdict differs from uninterrupted solve:\n got %s\nwant %s", got, want)
 	}
-	t.Logf("%d kills before verdict", kills)
+	t.Logf("%d kills and %d store compactions before verdict", kills, compactions)
 }

@@ -27,6 +27,8 @@ type Metrics struct {
 	degradedRejects atomic.Int64 // writes refused in degraded read-only mode
 	inflight        atomic.Int64 // solver runs currently executing
 
+	storeCompactions atomic.Int64 // successful verdict-store compactions
+
 	latMu    sync.Mutex
 	lats     []time.Duration // ring buffer of recent solve latencies
 	latNext  int
@@ -108,6 +110,8 @@ type Snapshot struct {
 	StoredCheckpoints int   `json:"stored_checkpoints"`
 	JournalRecords    int   `json:"journal_records"`
 	JournalBytes      int64 `json:"journal_bytes"`
+	JournalLiveBytes  int64 `json:"journal_live_bytes"`
+	StoreCompactions  int64 `json:"store_compactions"`
 
 	SolveLatencyMsP50  float64 `json:"solve_latency_ms_p50"`
 	SolveLatencyMsP90  float64 `json:"solve_latency_ms_p90"`
@@ -140,6 +144,8 @@ func (m *Metrics) snapshot(queueDepth int, st *Store) Snapshot {
 		InFlight:        m.inflight.Load(),
 		QueueDepth:      queueDepth,
 
+		StoreCompactions: m.storeCompactions.Load(),
+
 		SolveLatencyMsP50:  ms(ps[0]),
 		SolveLatencyMsP90:  ms(ps[1]),
 		SolveLatencyMsP99:  ms(ps[2]),
@@ -148,6 +154,7 @@ func (m *Metrics) snapshot(queueDepth int, st *Store) Snapshot {
 	}
 	if st != nil {
 		s.StoredVerdicts, s.StoredCheckpoints, s.JournalRecords, s.JournalBytes = st.Counts()
+		s.JournalLiveBytes = st.LiveBytes()
 	}
 	return s
 }

@@ -456,7 +456,11 @@ func (s *Service) finishFlight(f *flight, r Response) {
 // correct. The exception is a sticky journal failure (failed fsync):
 // the log will refuse every future write, so the service degrades.
 func (s *Service) compact() {
-	if err := s.store.CompactIfAbove(s.cfg.CompactAbove); err != nil {
+	compacted, err := s.store.CompactIfAbove(s.cfg.CompactAbove)
+	if compacted {
+		s.metrics.storeCompactions.Add(1)
+	}
+	if err != nil {
 		s.log.Error("store compaction failed", "err", err)
 		if errors.Is(err, journal.ErrFailed) {
 			s.degrade(err)

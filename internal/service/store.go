@@ -19,8 +19,10 @@ import (
 // unfinished drain, persisted as typed records in one append-only
 // journal (internal/journal), so the whole map survives kill -9 with
 // torn-tail recovery. Records are append-only during operation;
-// Compact rewrites the log down to its live content (every verdict +
-// the newest checkpoint per unfinished instance) atomically.
+// CompactIfAbove rewrites the log down to its live content (every
+// verdict + the newest checkpoint per unfinished instance) atomically,
+// once dead bytes outweigh live ones, so rewrite cost is amortized
+// against the appends that made the garbage.
 
 // Store record types (first payload byte).
 const (
@@ -215,6 +217,20 @@ type Store struct {
 	// lands). Both are keyed by feasibility.Instance.Key.
 	verdicts    map[string]Verdict
 	checkpoints map[string][]byte
+	// live is the framed on-disk size of each key's live record (its
+	// verdict, else its latest checkpoint); liveBytes is their sum —
+	// exactly the Size a full compaction leaves behind.
+	live      map[string]int64
+	liveBytes int64
+}
+
+// setLive records a just-journaled payload of payloadLen bytes as
+// key's live record, retiring the bytes of the one it supersedes.
+// Callers hold st.mu (or own st exclusively, during replay).
+func (st *Store) setLive(key string, payloadLen int) {
+	size := journal.RecordSize(payloadLen)
+	st.liveBytes += size - st.live[key]
+	st.live[key] = size
 }
 
 // OpenStore opens the store over the real filesystem; see OpenStoreFS.
@@ -238,6 +254,7 @@ func OpenStoreFS(fsys faultfs.FS, path string, policy journal.SyncPolicy) (*Stor
 		log:         log,
 		verdicts:    make(map[string]Verdict),
 		checkpoints: make(map[string][]byte),
+		live:        make(map[string]int64),
 	}
 	i := 0
 	err = log.ForEach(func(payload []byte) error {
@@ -257,9 +274,13 @@ func OpenStoreFS(fsys faultfs.FS, path string, policy journal.SyncPolicy) (*Stor
 		case recCheckpoint:
 			// Later records supersede earlier ones; a checkpoint after a
 			// verdict would be a writer bug, but replay tolerates it by
-			// preferring the verdict (checked on read).
+			// preferring the verdict (the checkpoint is dead bytes).
+			if _, done := st.verdicts[key]; done {
+				return nil
+			}
 			st.checkpoints[key] = append([]byte(nil), body...)
 		}
+		st.setLive(key, len(payload))
 		return nil
 	})
 	if err != nil {
@@ -293,9 +314,10 @@ func (st *Store) Checkpoint(key string) ([]byte, bool) {
 // append policy — a verdict handed to a client must survive a crash)
 // and publishes it; the instance's checkpoint becomes irrelevant.
 func (st *Store) PutVerdict(key string, v Verdict) error {
+	rec := encodeRecord(recVerdict, key, EncodeVerdict(v))
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.log.Append(encodeRecord(recVerdict, key, EncodeVerdict(v))); err != nil {
+	if err := st.log.Append(rec); err != nil {
 		return err
 	}
 	if err := st.log.Sync(); err != nil {
@@ -303,17 +325,25 @@ func (st *Store) PutVerdict(key string, v Verdict) error {
 	}
 	st.verdicts[key] = v
 	delete(st.checkpoints, key)
+	st.setLive(key, len(rec))
 	return nil
 }
 
-// PutCheckpoint journals a checkpoint for an unfinished instance.
+// PutCheckpoint journals a checkpoint for an unfinished instance. A
+// checkpoint for an instance that already has a verdict is moot (reads
+// prefer the verdict) and is not journaled.
 func (st *Store) PutCheckpoint(key string, raw []byte) error {
+	rec := encodeRecord(recCheckpoint, key, raw)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.log.Append(encodeRecord(recCheckpoint, key, raw)); err != nil {
+	if _, done := st.verdicts[key]; done {
+		return nil
+	}
+	if err := st.log.Append(rec); err != nil {
 		return err
 	}
 	st.checkpoints[key] = append([]byte(nil), raw...)
+	st.setLive(key, len(rec))
 	return nil
 }
 
@@ -325,20 +355,44 @@ func (st *Store) Counts() (verdicts, checkpoints, records int, bytes int64) {
 	return len(st.verdicts), len(st.checkpoints), st.log.Len(), st.log.Size()
 }
 
+// LiveBytes reports the framed size of the live records — the journal
+// size a compaction would leave (for /metricz).
+func (st *Store) LiveBytes() int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.liveBytes
+}
+
 // CompactIfAbove compacts the journal down to its live records (all
 // verdicts, then the latest checkpoint of each unfinished instance, in
 // sorted key order for determinism) when it holds more than limit
-// records. The rewrite is atomic (temp + rename): a crash leaves the
-// old log or the new one, never a mix.
-func (st *Store) CompactIfAbove(limit int) error {
+// records and its dead bytes exceed its live bytes (Size > 2×live).
+// limit is a floor below which the store never compacts; 0 disables
+// compaction. A rewrite of L live bytes waits until the journal exceeds
+// 2L bytes, so in total compaction writes less than was appended since
+// the store opened plus its size at open — amortized O(1) per appended
+// byte — and, called after every write, it keeps a journal of more
+// than limit records within twice its live bytes. The rewrite is atomic
+// (temp + rename): a crash leaves the old log or the new one, never a
+// mix. compacted reports whether a rewrite succeeded.
+func (st *Store) CompactIfAbove(limit int) (compacted bool, err error) {
 	if limit <= 0 {
-		return nil
+		return false, nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.log.Len() <= limit {
-		return nil
+	if st.log.Len() <= limit || st.log.Size() <= 2*st.liveBytes {
+		return false, nil
 	}
+	if err := st.compactLocked(); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// compactLocked rewrites the journal to exactly the live records.
+// Callers hold st.mu.
+func (st *Store) compactLocked() error {
 	keys := make([]string, 0, len(st.verdicts)+len(st.checkpoints))
 	for k := range st.verdicts {
 		keys = append(keys, k)
