@@ -407,30 +407,6 @@ func BenchmarkEngineAsync(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineGoroutines(b *testing.B) {
-	start, err := enumerate.RandomRigid(rand.New(rand.NewSource(6)), 16, 6, 100000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, _ := gather.NewWorld(start)
-		e := &corda.Engine{
-			World:     w,
-			Algorithm: gather.Gathering{},
-			Budget:    2_000_000,
-			Seed:      int64(i),
-			Stop:      (*corda.World).Gathered,
-		}
-		if _, _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-		if !w.Gathered() {
-			b.Fatal("engine budget exhausted")
-		}
-	}
-}
-
 // --- E10: batched Monte Carlo simulation (internal/mcsim) -------------------
 
 // BenchmarkMCSimThroughput measures the batch engine's steady-state
@@ -483,63 +459,6 @@ func BenchmarkMCSimThroughput(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkMCSimVsGoroutineEngine is the speedup pairing behind the
-// batch engine: one op completes one gathered (n=12, k=5) sample, via
-// the batch engine (amortized over a 1024-lane batch) or via the
-// goroutine-per-robot CSP Engine. The ns/op ratio of the two rows is
-// the per-sample speedup.
-func BenchmarkMCSimVsGoroutineEngine(b *testing.B) {
-	start, err := enumerate.RandomRigid(rand.New(rand.NewSource(8)), 12, 5, 100000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("batch/per-sample", func(b *testing.B) {
-		spec, err := mcsim.SpecFor(core.Gathering, start, 1024, 100000, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e, err := mcsim.New(spec, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Simulate(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		done := 0
-		for done < b.N {
-			rep, err := e.Simulate()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Gathered() != rep.Samples {
-				b.Fatal("lane failed to gather")
-			}
-			done += rep.Samples
-		}
-	})
-	b.Run("goroutines/per-sample", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w := corda.FromConfig(start, false)
-			w.EnableMultiplicityDetection()
-			e := &corda.Engine{
-				World:     w,
-				Algorithm: gather.Gathering{},
-				Budget:    2_000_000,
-				Seed:      int64(i + 1),
-				Stop:      (*corda.World).Gathered,
-			}
-			if _, _, err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
-			if !w.Gathered() {
-				b.Fatal("engine budget exhausted")
-			}
-		}
-	})
 }
 
 // --- snapshot construction (shared cost of every Look in every experiment) ---

@@ -276,9 +276,7 @@ func families() []family {
 
 	// Batched Monte Carlo simulation (internal/mcsim): one op = one warm
 	// batch (caches populated, steady state allocates nothing). Divide
-	// ns/op by the lane count for per-sample cost; the
-	// EngineGoroutineGather row is the goroutine-per-robot baseline the
-	// batch engine's speedup is measured against (per gathered sample).
+	// ns/op by the lane count for per-sample cost.
 	mcStart := rigid(8, 12, 5)
 	mcSpec := func(task core.Task, samples, steps int) corda.SimSpec {
 		spec, err := mcsim.SpecFor(task, mcStart, samples, steps, 42)
@@ -321,25 +319,6 @@ func families() []family {
 		for i := 0; i < b.N; i++ {
 			if _, err := sEng.Simulate(); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	add("EngineGoroutineGather/n=12/k=5", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w := corda.FromConfig(mcStart, false)
-			w.EnableMultiplicityDetection()
-			e := &corda.Engine{
-				World:     w,
-				Algorithm: gather.Gathering{},
-				Budget:    2_000_000,
-				Seed:      int64(i + 1),
-				Stop:      (*corda.World).Gathered,
-			}
-			if _, _, err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
-			if !w.Gathered() {
-				b.Fatal("engine budget exhausted")
 			}
 		}
 	})

@@ -301,7 +301,7 @@ func e8Characterization() {
 }
 
 func e9Engines() {
-	header("E9 (model equivalence)", "sequential, async and goroutine executions agree for the paper's algorithms")
+	header("E9 (model equivalence)", "sequential and async executions agree for the paper's algorithms")
 	rng := rand.New(rand.NewSource(9))
 	n, k := 12, 5
 	c, err := enumerate.RandomRigid(rng, n, k, 10000)
@@ -320,15 +320,7 @@ func e9Engines() {
 	if _, err := as.RunUntil((*corda.World).Gathered, 1_000_000); err != nil {
 		log.Fatal(err)
 	}
-	// Goroutine engine.
-	we, _ := gather.NewWorld(c)
-	eng := &corda.Engine{World: we, Algorithm: gather.Gathering{}, Budget: 2_000_000, Seed: 4, Stop: (*corda.World).Gathered}
-	_, engMoves, err := eng.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("  start %v\n", c)
 	fmt.Printf("  sequential: gathered=%v moves=%d\n", ws.Gathered(), seqMoves)
 	fmt.Printf("  async:      gathered=%v moves=%d\n", wa.Gathered(), as.Moves())
-	fmt.Printf("  goroutines: gathered=%v moves=%d\n", we.Gathered(), engMoves)
 }

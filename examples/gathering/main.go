@@ -1,13 +1,12 @@
-// Gathering under adversity: rendezvous against a hostile scheduler and
-// on a real concurrent runtime.
+// Gathering under adversity: rendezvous against a hostile scheduler.
 //
 // Five delivery drones parked on a circular taxiway must converge on a
 // single bay. They cannot talk, have no ids, no memory and no compass,
 // and an adversarial dispatcher delays their actions arbitrarily —
 // drones move on positions observed long ago. The example runs the
-// paper's gathering algorithm (Theorem 8) three ways from the same rigid
-// start: atomic round-robin scheduling, a pending-move-holding random
-// adversary, and the library's goroutine-per-robot CSP engine.
+// paper's gathering algorithm (Theorem 8) two ways from the same rigid
+// start: atomic round-robin scheduling and a pending-move-holding random
+// adversary.
 //
 //	go run ./examples/gathering
 package main
@@ -61,28 +60,8 @@ func main() {
 	fmt.Printf("async adversary:    gathered at bay %2d after %3d moves (%d actions)\n",
 		w2.Position(0), r2.Moves(), r2.Steps())
 
-	// 3. One goroutine per drone against a coordinator goroutine: real
-	// interleaving from the Go scheduler.
-	w3, err := ringrobots.NewWorld(ringrobots.Gathering, start)
-	if err != nil {
-		log.Fatal(err)
-	}
-	engine := &ringrobots.Engine{
-		World:     w3,
-		Algorithm: alg,
-		Budget:    2_000_000,
-		Seed:      11,
-		Stop:      (*ringrobots.World).Gathered,
-	}
-	looks, moves, err := engine.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("goroutine engine:   gathered at bay %2d after %3d moves (%d looks)\n",
-		w3.Position(0), moves, looks)
-
-	if !w1.Gathered() || !w2.Gathered() || !w3.Gathered() {
+	if !w1.Gathered() || !w2.Gathered() {
 		log.Fatal("some execution failed to gather")
 	}
-	fmt.Println("all three executions gathered — the algorithm is scheduler-independent")
+	fmt.Println("both executions gathered — the algorithm is scheduler-independent")
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // This file defines the backend contract that separates the package's
-// proof-oriented engines (Runner / AsyncRunner / Engine: one world at a
-// time, built for verification and trace extraction) from
-// throughput-oriented ones (internal/mcsim: thousands of struct-of-array
-// worlds stepped in a tight loop). A Backend consumes a SimSpec — a
-// Monte Carlo workload over independent fair-schedule samples — and
-// produces a SimReport of deterministic aggregate statistics.
+// proof-oriented engines (Runner / AsyncRunner: one world at a time,
+// built for verification and trace extraction) from throughput-oriented
+// ones (internal/mcsim: thousands of struct-of-array worlds stepped in a
+// tight loop). A Backend consumes a SimSpec — a Monte Carlo workload
+// over independent fair-schedule samples — and produces a SimReport of
+// deterministic aggregate statistics.
 //
 // The determinism contract: a SimSpec fully determines every lane. Lane
 // i's schedule randomness is an independent splittable stream derived

@@ -388,66 +388,6 @@ func TestAsyncStaleMoveCanCollide(t *testing.T) {
 	}
 }
 
-func TestEngineRunsAndStops(t *testing.T) {
-	w := FromConfig(config.MustNew(10, 0, 4), true)
-	e := &Engine{
-		World:     w,
-		Algorithm: approach,
-		Budget:    10000,
-		Seed:      1,
-		Stop: func(w *World) bool {
-			g := w.Config().Intervals()
-			return g[0] == 0 || g[1] == 0
-		},
-	}
-	looks, moves, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if looks == 0 {
-		t.Fatal("engine served no looks")
-	}
-	if moves == 0 {
-		t.Fatal("engine executed no moves")
-	}
-	g := w.Config().Intervals()
-	if g[0] != 0 && g[1] != 0 {
-		t.Fatalf("engine stopped before the condition held: %v", w)
-	}
-}
-
-func TestEngineBudget(t *testing.T) {
-	w := FromConfig(config.MustNew(10, 0, 5), true)
-	e := &Engine{World: w, Algorithm: idle, Budget: 100, Seed: 7}
-	looks, moves, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moves != 0 {
-		t.Fatal("idle algorithm moved")
-	}
-	if looks < 100 {
-		t.Fatalf("engine under-served looks: %d", looks)
-	}
-}
-
-func TestEngineSurfacesCollision(t *testing.T) {
-	w := FromConfig(config.MustNew(8, 0, 1, 2, 3), true)
-	e := &Engine{World: w, Algorithm: crash, Budget: 10000, Seed: 11}
-	_, _, err := e.Run()
-	if err == nil {
-		t.Fatal("engine did not surface the collision")
-	}
-}
-
-func TestEngineNeedsBudget(t *testing.T) {
-	w := FromConfig(config.MustNew(8, 0, 4), true)
-	e := &Engine{World: w, Algorithm: idle}
-	if _, _, err := e.Run(); err == nil {
-		t.Fatal("engine accepted zero budget")
-	}
-}
-
 func TestCycleDetector(t *testing.T) {
 	d := NewCycleDetector()
 	keys := []string{"a", "b", "c", "d", "b"}

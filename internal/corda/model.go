@@ -4,14 +4,12 @@
 // positions of the other robots (plus, optionally, a local multiplicity
 // bit), with all scheduling controlled by an adversary.
 //
-// The package provides three executions of the same semantics:
+// The package provides two executions of the same semantics:
 //
 //   - Runner: deterministic sequential stepper (one atomic
 //     Look-Compute-Move per step) used for verification;
 //   - AsyncRunner: explicit pending-move state, letting an adversary
-//     separate a robot's Look from its Move arbitrarily;
-//   - Engine: a CSP-style concurrent runtime with one goroutine per robot,
-//     exercising real interleavings.
+//     separate a robot's Look from its Move arbitrarily.
 package corda
 
 import (

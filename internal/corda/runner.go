@@ -50,8 +50,8 @@ func (s *RandomScheduler) ResolveEither(w *World, id, step int) ring.Direction {
 // Runner executes an algorithm with atomic Look-Compute-Move cycles.
 // Atomicity makes runs reproducible; the paper's algorithms guarantee at
 // most one robot ever decides to move in any reachable configuration, so
-// atomic scheduling loses no generality for them (AsyncRunner and Engine
-// exercise the general asynchronous case).
+// atomic scheduling loses no generality for them (AsyncRunner exercises
+// the general asynchronous case).
 type Runner struct {
 	World     *World
 	Algorithm Algorithm

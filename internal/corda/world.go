@@ -146,11 +146,12 @@ func (w *World) Gathered() bool {
 // Ownership rule: the returned snapshot's views alias robot id's slot in
 // a per-robot buffer pool and stay valid only until the next
 // Snapshot(id) call for the SAME id. That is exactly the lifetime of one
-// Look-Compute step, so the concurrent Engine — which hands each robot
-// goroutine only its own snapshots, and never two at once — needs no
-// copies: robot id cannot request another Look before finishing the
-// Compute on its previous one. Callers that retain a snapshot across
-// cycles (or share it between robots) must Clone it.
+// Look-Compute step, and keeping one slot per robot means another
+// robot's Look never invalidates it: a schedule that interleaves several
+// robots' Looks and Computes needs no copies, because robot id cannot
+// Look again before finishing the Compute on its previous snapshot.
+// Callers that retain a snapshot across cycles (or share it between
+// robots) must Clone it.
 func (w *World) Snapshot(id int) (Snapshot, ring.Direction) {
 	c := w.Config()
 	u := w.pos[id]

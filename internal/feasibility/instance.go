@@ -15,27 +15,22 @@ import (
 // content-addressed verdict store (internal/service) keys on
 // Instance.Key, which also folds in SolverVersion: a semantics bump
 // silently retires every stored verdict and checkpoint instead of
-// serving stale answers.
+// serving stale answers. The Solver.No* differential oracles are absent
+// too: they reach the same verdict by contract, only slower.
 type Instance struct {
-	N, K          int
-	MaxCycleLen   int
-	PendingTiers  []int
-	NoQuotient    bool
-	NoIncremental bool
-	NoPrune       bool
+	N, K         int
+	MaxCycleLen  int
+	PendingTiers []int
 }
 
 // InstanceOf captures the solver's verdict-determining parameters in
 // normalized form (defaults filled in, tier ladder copied).
 func (s *Solver) InstanceOf() Instance {
 	return Instance{
-		N:             s.N,
-		K:             s.K,
-		MaxCycleLen:   s.MaxCycleLen,
-		PendingTiers:  append([]int(nil), s.PendingTiers...),
-		NoQuotient:    s.NoQuotient,
-		NoIncremental: s.NoIncremental,
-		NoPrune:       s.NoPrune,
+		N:            s.N,
+		K:            s.K,
+		MaxCycleLen:  s.MaxCycleLen,
+		PendingTiers: append([]int(nil), s.PendingTiers...),
 	}.Normalized()
 }
 
@@ -87,14 +82,11 @@ func (inst Instance) Solver() *Solver {
 	s := NewSolver(inst.N, inst.K)
 	s.MaxCycleLen = inst.MaxCycleLen
 	s.PendingTiers = append([]int(nil), inst.PendingTiers...)
-	s.NoQuotient = inst.NoQuotient
-	s.NoIncremental = inst.NoIncremental
-	s.NoPrune = inst.NoPrune
 	return s
 }
 
 // appendCanonical emits the deterministic byte encoding Key hashes:
-// solver version, ring parameters, mode flags, tier ladder.
+// solver version, ring parameters, a zero byte, tier ladder.
 func (inst Instance) appendCanonical(b []byte) []byte {
 	inst = inst.Normalized()
 	b = binary.AppendUvarint(b, uint64(len(SolverVersion)))
@@ -102,17 +94,10 @@ func (inst Instance) appendCanonical(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(inst.N))
 	b = binary.AppendUvarint(b, uint64(inst.K))
 	b = binary.AppendUvarint(b, uint64(inst.MaxCycleLen))
-	var flags byte
-	if inst.NoQuotient {
-		flags |= 1
-	}
-	if inst.NoIncremental {
-		flags |= 2
-	}
-	if inst.NoPrune {
-		flags |= 4
-	}
-	b = append(b, flags)
+	// The zero byte held the oracle mode flags when instances carried
+	// them; it stays so keys remain byte-identical and existing stores
+	// keep serving their verdicts and checkpoints.
+	b = append(b, 0)
 	b = binary.AppendUvarint(b, uint64(len(inst.PendingTiers)))
 	for _, t := range inst.PendingTiers {
 		b = binary.AppendUvarint(b, uint64(t))
@@ -132,16 +117,16 @@ func (inst Instance) Key() string {
 // String renders the instance for logs and error messages.
 func (inst Instance) String() string {
 	inst = inst.Normalized()
-	return fmt.Sprintf("(k=%d,n=%d,cyc=%d,tiers=%v,q=%t,i=%t,p=%t)",
-		inst.K, inst.N, inst.MaxCycleLen, inst.PendingTiers,
-		!inst.NoQuotient, !inst.NoIncremental, !inst.NoPrune)
+	return fmt.Sprintf("(k=%d,n=%d,cyc=%d,tiers=%v)",
+		inst.K, inst.N, inst.MaxCycleLen, inst.PendingTiers)
 }
 
 // Matches reports whether the checkpoint was written by a drain of
-// exactly this instance under the current SolverVersion — the
-// precondition for Resume to accept it. The verdict store keys
-// checkpoints by Instance.Key, which covers the same fields, so a
-// mismatch indicates store corruption rather than a routine condition.
+// exactly this instance under the current SolverVersion, with no
+// differential oracle mode set — the precondition for resuming it as
+// this instance's drain. The verdict store keys checkpoints by
+// Instance.Key, which covers the same fields, so a mismatch indicates
+// store corruption rather than a routine condition.
 func (ck *Checkpoint) Matches(inst Instance) bool {
 	if ck == nil {
 		return false
@@ -150,7 +135,7 @@ func (ck *Checkpoint) Matches(inst Instance) bool {
 	if ck.version != SolverVersion || ck.n != inst.N || ck.k != inst.K || ck.maxCycleLen != inst.MaxCycleLen {
 		return false
 	}
-	if ck.noQuotient != inst.NoQuotient || ck.noIncremental != inst.NoIncremental || ck.noPrune != inst.NoPrune {
+	if ck.noQuotient || ck.noIncremental || ck.noPrune {
 		return false
 	}
 	if len(ck.pendingTiers) != len(inst.PendingTiers) {

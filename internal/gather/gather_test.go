@@ -156,33 +156,6 @@ func TestGatheringUnderAsyncAdversary(t *testing.T) {
 	}
 }
 
-func TestGatheringOnConcurrentEngine(t *testing.T) {
-	// The CSP engine (one goroutine per robot) must gather too — E9.
-	for seed := int64(0); seed < 5; seed++ {
-		c, err := enumerate.RandomRigid(rand.New(rand.NewSource(seed+100)), 12, 5, 5000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := NewWorld(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := &corda.Engine{
-			World:     w,
-			Algorithm: Gathering{},
-			Budget:    200000,
-			Seed:      seed,
-			Stop:      (*corda.World).Gathered,
-		}
-		if _, _, err := e.Run(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !w.Gathered() {
-			t.Fatalf("seed %d: engine stopped without gathering: %v", seed, w)
-		}
-	}
-}
-
 func TestGatheredStateIsStable(t *testing.T) {
 	// Once gathered, nobody ever moves again (the task demands the robots
 	// remain on the node).

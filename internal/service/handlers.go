@@ -17,7 +17,6 @@ import (
 // The HTTP/JSON surface:
 //
 //	GET /solve?n=9&k=5[&budget=U][&timeout=30s][&tiers=0,2][&cycle=24]
-//	            [&noquotient=1][&noincremental=1][&noprune=1]
 //	GET /metricz
 //	GET /healthz
 //
@@ -125,24 +124,10 @@ func parseSolveRequest(q map[string][]string) (Request, error) {
 		}
 		return v
 	}
-	boolParam := func(name string) bool {
-		raw := get(name)
-		if raw == "" {
-			return false
-		}
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("parameter %q: %q is not a boolean", name, raw))
-		}
-		return v
-	}
 	var req Request
 	req.Instance.N = intParam("n", true)
 	req.Instance.K = intParam("k", true)
 	req.Instance.MaxCycleLen = intParam("cycle", false)
-	req.Instance.NoQuotient = boolParam("noquotient")
-	req.Instance.NoIncremental = boolParam("noincremental")
-	req.Instance.NoPrune = boolParam("noprune")
 	if raw := get("tiers"); raw != "" {
 		for _, part := range strings.Split(raw, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(part))

@@ -374,3 +374,36 @@ func TestHTTPHandlers(t *testing.T) {
 	}
 	hresp.Body.Close()
 }
+
+// TestOracleParamsNotServed: the solver's differential oracle modes are
+// not part of the HTTP API, so a request naming one is the same instance
+// as the plain request and shares its cached verdict.
+func TestOracleParamsNotServed(t *testing.T) {
+	svc := mustNew(t, testConfig(t))
+	defer drainService(t, svc)
+	h := svc.Handler()
+	get := func(path string) SolveBody {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		var body SolveBody
+		if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
+			t.Fatalf("GET %s: decode: %v", path, err)
+		}
+		if rec.Code != http.StatusOK || body.Status != "verdict" {
+			t.Fatalf("GET %s = %d %+v, want 200 verdict", path, rec.Code, body)
+		}
+		return body
+	}
+	oracle := get("/solve?n=7&k=3&noprune=1")
+	plain := get("/solve?n=7&k=3")
+	if plain.Key != oracle.Key {
+		t.Errorf("noprune=1 changed the instance key: %s vs %s", oracle.Key, plain.Key)
+	}
+	if !plain.Cached {
+		t.Errorf("plain request after noprune=1 was not a cache hit")
+	}
+	if n := svc.MetricsSnapshot().SolvesStarted; n != 1 {
+		t.Errorf("%d solves started, want 1", n)
+	}
+}

@@ -87,9 +87,6 @@ type Runner = corda.Runner
 // AsyncRunner executes under full asynchrony with pending moves.
 type AsyncRunner = corda.AsyncRunner
 
-// Engine is the goroutine-per-robot CSP runtime.
-type Engine = corda.Engine
-
 // Verdict classifies parameters in the feasibility characterization.
 type Verdict = core.Verdict
 
