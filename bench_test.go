@@ -1,7 +1,9 @@
-// Benchmarks, one family per reproduction experiment (see DESIGN.md's
-// per-experiment index). Run with:
+// Benchmarks, one family per reproduction experiment (the E-ids follow
+// cmd/experiments). This file is the only definition of each family:
+// cmd/bench runs it through `go test -bench` and records the rows in
+// BENCH_<date>.json. Run directly with:
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench . -benchmem .
 package ringrobots
 
 import (
@@ -51,16 +53,18 @@ func BenchmarkAlignPlanner(b *testing.B) {
 
 func BenchmarkAlignLocalDecision(b *testing.B) {
 	// Cost of one robot's Look+Compute in the Align phase.
-	c, err := enumerate.RandomRigid(rand.New(rand.NewSource(2)), 32, 10, 100000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := corda.FromConfig(c, true)
-	snap, _ := w.Snapshot(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.DecideFromSnapshot(snap)
-	}
+	b.Run("n=32/k=10", func(b *testing.B) {
+		c, err := enumerate.RandomRigid(rand.New(rand.NewSource(2)), 32, 10, 100000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := corda.FromConfig(c, true)
+		snap, _ := w.Snapshot(3)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			align.DecideFromSnapshot(snap)
+		}
+	})
 }
 
 // --- E2: configuration algebra (the substrate of every lemma check) --------
@@ -135,21 +139,23 @@ func BenchmarkCanonKey(b *testing.B) {
 }
 
 func BenchmarkRigidityDetection(b *testing.B) {
-	c, err := enumerate.RandomRigid(rand.New(rand.NewSource(4)), 128, 24, 100000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !c.IsRigid() {
-			b.Fatal("fixture lost rigidity")
+	b.Run("n=128/k=24", func(b *testing.B) {
+		c, err := enumerate.RandomRigid(rand.New(rand.NewSource(4)), 128, 24, 100000)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !c.IsRigid() {
+				b.Fatal("fixture lost rigidity")
+			}
+		}
+	})
 }
 
 // --- E3: Figures 4–9 transition diagrams -----------------------------------
 
-func BenchmarkTransitionDiagrams(b *testing.B) {
+func BenchmarkTransitionDiagram(b *testing.B) {
 	for _, f := range feasibility.PaperFigures() {
 		b.Run(fmt.Sprintf("fig%d_k%d_n%d", f.Figure, f.K, f.N), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -184,23 +190,22 @@ func BenchmarkImpossibility(b *testing.B) {
 }
 
 // BenchmarkFeasibilitySolve measures full impossibility solves on the
-// Theorem 5 cases, sequential (workers=1, isolating the single-thread
-// interning win) and parallel (workers=GOMAXPROCS, the sharded table
-// search). The incremental=off and prune=off rows keep the respective
-// differential oracles' cost on record, quantifying the sibling-branch
-// reuse and tree-level pruning wins over time.
+// Theorem 5 cases with one worker (the single-thread cost; cross-worker
+// behaviour is pinned by the determinism tests, not timed here). The
+// incremental=off and prune=off rows keep the respective differential
+// oracles' cost on record, quantifying the sibling-branch reuse and
+// tree-level pruning wins over time.
 func BenchmarkFeasibilitySolve(b *testing.B) {
 	for _, tc := range []struct {
-		n, k, workers int
+		n, k          int
 		noIncremental bool
 		noPrune       bool
 	}{
-		{7, 4, 1, false, false}, {7, 4, 0, false, false},
-		{8, 5, 1, false, false}, {8, 5, 0, false, false},
-		{7, 4, 1, true, false}, {8, 5, 1, true, false},
-		{7, 4, 1, false, true}, {8, 5, 1, false, true},
+		{7, 4, false, false}, {8, 5, false, false},
+		{7, 4, true, false}, {8, 5, true, false},
+		{7, 4, false, true}, {8, 5, false, true},
 	} {
-		name := fmt.Sprintf("n=%d/k=%d/workers=%d", tc.n, tc.k, tc.workers)
+		name := fmt.Sprintf("n=%d/k=%d/workers=1", tc.n, tc.k)
 		if tc.noIncremental {
 			name += "/incremental=off"
 		}
@@ -210,7 +215,7 @@ func BenchmarkFeasibilitySolve(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := feasibility.NewSolver(tc.n, tc.k)
-				s.Workers = tc.workers
+				s.Workers = 1
 				s.NoIncremental = tc.noIncremental
 				s.NoPrune = tc.noPrune
 				res, err := s.Solve()
@@ -232,22 +237,17 @@ func BenchmarkFeasibilitySolve(b *testing.B) {
 // is the unquotiented differential oracle, kept on record to quantify
 // the symmetry quotient's win.
 func BenchmarkFeasibilityThroughput(b *testing.B) {
-	for _, tc := range []struct {
-		workers    int
-		noQuotient bool
-	}{
-		{1, false}, {0, false}, {1, true},
-	} {
+	for _, noQuotient := range []bool{false, true} {
 		quot := "on"
-		if tc.noQuotient {
+		if noQuotient {
 			quot = "off"
 		}
-		b.Run(fmt.Sprintf("n=9/k=5/budget=2M/workers=%d/quotient=%s", tc.workers, quot), func(b *testing.B) {
+		b.Run("n=9/k=5/budget=2M/workers=1/quotient="+quot, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := feasibility.NewSolver(9, 5)
-				s.Workers = tc.workers
+				s.Workers = 1
 				s.MaxExpansions = 2_000_000
-				s.NoQuotient = tc.noQuotient
+				s.NoQuotient = noQuotient
 				if _, err := s.Solve(); err != nil && !errors.Is(err, feasibility.ErrBudget) {
 					b.Fatal(err)
 				}
@@ -409,55 +409,53 @@ func BenchmarkEngineAsync(b *testing.B) {
 
 // --- E10: batched Monte Carlo simulation (internal/mcsim) -------------------
 
-// BenchmarkMCSimThroughput measures the batch engine's steady-state
-// step rate: one op simulates a full warm batch (decision caches
-// populated, zero allocations). steps/sec and samples/sec are reported
-// as extra metrics; the gathering rows stop lanes at the goal, the
-// searching row runs every lane to its full tick budget.
-func BenchmarkMCSimThroughput(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		task    core.Task
-		n, k    int
-		samples int
-		steps   int
-		workers int
-	}{
-		{"gathering/n=12/k=5/workers=1", core.Gathering, 12, 5, 4096, 100000, 1},
-		{"gathering/n=12/k=5/workers=0", core.Gathering, 12, 5, 4096, 100000, 0},
-		{"searching/n=12/k=6/workers=1", core.Searching, 12, 6, 256, 4096, 1},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			start, err := enumerate.RandomRigid(rand.New(rand.NewSource(8)), tc.n, tc.k, 100000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			spec, err := mcsim.SpecFor(tc.task, start, tc.samples, tc.steps, 42)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e, err := mcsim.New(spec, tc.workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := e.Simulate() // warm the decision cache
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if rep, err = e.Simulate(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			sec := b.Elapsed().Seconds()
-			if sec > 0 {
-				b.ReportMetric(float64(rep.Steps)*float64(b.N)/sec, "steps/sec")
-				b.ReportMetric(float64(rep.Samples)*float64(b.N)/sec, "samples/sec")
-			}
-		})
+// BenchmarkMCSimGather and BenchmarkMCSimSearch measure the batch
+// engine's steady-state step rate: one op simulates a full warm batch
+// (decision caches populated, zero allocations); divide ns/op by the
+// lane count for per-sample cost. steps/sec and samples/sec are reported
+// as extra metrics. Gathering lanes stop at the goal, searching lanes
+// run to their full tick budget.
+func BenchmarkMCSimGather(b *testing.B) {
+	b.Run("n=12/k=5/lanes=4096/workers=1", func(b *testing.B) {
+		benchMCSim(b, core.Gathering, 12, 5, 4096, 100000)
+	})
+}
+
+func BenchmarkMCSimSearch(b *testing.B) {
+	b.Run("n=12/k=6/lanes=256/workers=1", func(b *testing.B) {
+		benchMCSim(b, core.Searching, 12, 6, 256, 4096)
+	})
+}
+
+func benchMCSim(b *testing.B, task core.Task, n, k, lanes, steps int) {
+	start, err := enumerate.RandomRigid(rand.New(rand.NewSource(8)), n, k, 100000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := mcsim.SpecFor(task, start, lanes, steps, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := mcsim.New(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := e.Simulate() // warm the decision cache
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep, err = e.Simulate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	sec := b.Elapsed().Seconds()
+	if sec > 0 {
+		b.ReportMetric(float64(rep.Steps)*float64(b.N)/sec, "steps/sec")
+		b.ReportMetric(float64(rep.Samples)*float64(b.N)/sec, "samples/sec")
 	}
 }
 

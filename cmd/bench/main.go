@@ -1,8 +1,17 @@
-// Command bench runs the repo's benchmark families programmatically and
-// emits a machine-readable BENCH_<date>.json, so the performance
-// trajectory of the hot paths (configuration algebra, Align planning,
-// Look/snapshot construction, enumeration, the impossibility solver) is
-// tracked across PRs.
+// Command bench runs the repo's benchmark families and emits a
+// machine-readable BENCH_<date>.json, so the performance trajectory of
+// the hot paths (configuration algebra, Align planning, Look/snapshot
+// construction, enumeration, the impossibility solver) is tracked
+// across PRs.
+//
+// The families are defined once, in the root package's bench_test.go.
+// bench runs them with
+//
+//	go test -run '^$' -bench <filter> -benchmem -count <repeats> ringrobots
+//
+// parses the standard benchmark lines and aggregates the -count runs of
+// each row. -filter is a `go test -bench` regexp (it used to be a
+// substring match); the default runs every family.
 //
 // Usage:
 //
@@ -11,28 +20,24 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
-	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
-	"testing"
 	"time"
 
-	"ringrobots/internal/align"
-	"ringrobots/internal/config"
-	"ringrobots/internal/corda"
-	"ringrobots/internal/core"
-	"ringrobots/internal/enumerate"
 	"ringrobots/internal/feasibility"
-	"ringrobots/internal/gather"
-	"ringrobots/internal/mcsim"
 )
 
 type result struct {
@@ -79,274 +84,75 @@ type solverCounters struct {
 	StatesReexpanded  int64  `json:"states_reexpanded"`
 }
 
-type family struct {
-	name string
-	fn   func(b *testing.B)
+// run is one -count run of one benchmark row.
+type run struct {
+	ns     float64
+	iters  int
+	allocs int64
+	bytes  int64
 }
 
-func families() []family {
-	var fams []family
-	add := func(name string, fn func(b *testing.B)) {
-		fams = append(fams, family{name: name, fn: fn})
-	}
+// procsSuffix is the -<GOMAXPROCS> tag go test appends to every name
+// when GOMAXPROCS > 1.
+var procsSuffix = regexp.MustCompile(`-\d+$`)
 
-	rigid := func(seed int64, n, k int) config.Config {
-		c, err := enumerate.RandomRigid(rand.New(rand.NewSource(seed)), n, k, 100000)
+// parseBench reads `go test -bench -benchmem` output and returns one
+// aggregated row per benchmark, in first-seen order. A result line is
+// "Benchmark<name>[-procs] <N> (<value> <unit>)…"; only ns/op, B/op and
+// allocs/op are read (custom metrics such as steps/sec are skipped), and
+// every other line (goos:, pkg:, cpu:, PASS, ok, logs) is ignored.
+func parseBench(r io.Reader) ([]result, error) {
+	var names []string
+	runs := map[string][]run{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 2 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		iters, err := strconv.Atoi(f[1])
 		if err != nil {
-			panic(err)
+			continue // a name printed ahead of a failure or log line
 		}
-		return c
-	}
-
-	// Configuration algebra: memoized, cold-kernel, and canonical key.
-	c256 := rigid(3, 256, 32)
-	add("Supermin/n=256/k=32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c256.Supermin()
-		}
-	})
-	nodes256 := c256.Nodes()
-	add("SuperminCold/n=256/k=32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fresh := config.MustNew(256, nodes256...)
-			fresh.Supermin()
-		}
-	})
-	add("CanonKey/n=256/k=32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fresh := config.MustNew(256, nodes256...)
-			fresh.CanonKey()
-		}
-	})
-	c128 := rigid(4, 128, 24)
-	add("RigidityDetection/n=128/k=24", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !c128.IsRigid() {
-				b.Fatal("fixture lost rigidity")
-			}
-		}
-	})
-
-	// Align planning loop (drive to C* from a rigid start).
-	for _, tc := range []struct{ n, k int }{{12, 5}, {24, 8}, {48, 12}, {96, 16}} {
-		start := rigid(1, tc.n, tc.k)
-		add(fmt.Sprintf("AlignPlanner/n=%d/k=%d", tc.n, tc.k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := start
-				for !c.IsCStar() {
-					p, err := align.ComputePlan(c)
-					if err != nil {
-						b.Fatal(err)
-					}
-					c, err = align.Apply(c, p)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-
-	// One robot's Look+Compute.
-	cLocal := rigid(2, 32, 10)
-	wLocal := corda.FromConfig(cLocal, true)
-	snapLocal, _ := wLocal.Snapshot(3)
-	add("AlignLocalDecision/n=32/k=10", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			align.DecideFromSnapshot(snapLocal)
-		}
-	})
-
-	// Snapshot construction (the shared cost of every Look).
-	cSnap := rigid(7, 256, 24)
-	wSnap := corda.FromConfig(cSnap, true)
-	add("Snapshot/n=256/k=24", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			wSnap.Snapshot(i % 24)
-		}
-	})
-
-	// Enumeration / transition diagrams (Figure 5: k=4, n=8).
-	add("TransitionDiagram/fig5_k4_n8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g, err := feasibility.NewTransitionGraph(8, 4)
+		name := procsSuffix.ReplaceAllString(strings.TrimPrefix(f[0], "Benchmark"), "")
+		rn := run{iters: iters, ns: -1}
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
-				b.Fatal(err)
+				return nil, fmt.Errorf("%s: bad value %q", f[0], f[i])
 			}
-			if len(g.Classes) != 8 {
-				b.Fatalf("class count %d != 8", len(g.Classes))
-			}
-		}
-	})
-
-	// Impossibility game solver (Figure 4's parameters).
-	add("Impossibility/k=4_n=7", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := feasibility.NewSolver(7, 4).Solve()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Impossible {
-				b.Fatal("expected impossibility")
+			switch f[i+1] {
+			case "ns/op":
+				rn.ns = v
+			case "B/op":
+				rn.bytes = int64(v)
+			case "allocs/op":
+				rn.allocs = int64(v)
 			}
 		}
-	})
-
-	// Full solver runs, sequential vs parallel (the sharded table search;
-	// on a single-vCPU runner both land in the same ballpark). The
-	// incremental=off and prune=off rows keep the respective oracles'
-	// cost on record, quantifying the sibling-branch reuse and
-	// tree-level pruning wins over time.
-	for _, tc := range []struct {
-		n, k, workers int
-		noIncremental bool
-		noPrune       bool
-	}{
-		{7, 4, 1, false, false}, {7, 4, 0, false, false},
-		{8, 5, 1, false, false}, {8, 5, 0, false, false},
-		{7, 4, 1, true, false}, {8, 5, 1, true, false},
-		{7, 4, 1, false, true}, {8, 5, 1, false, true},
-	} {
-		tc := tc
-		name := fmt.Sprintf("FeasibilitySolve/n=%d/k=%d/workers=%d", tc.n, tc.k, tc.workers)
-		if tc.noIncremental {
-			name += "/incremental=off"
+		if rn.ns < 0 {
+			return nil, fmt.Errorf("%s: no ns/op in %q", f[0], sc.Text())
 		}
-		if tc.noPrune {
-			name += "/prune=off"
+		if _, seen := runs[name]; !seen {
+			names = append(names, name)
 		}
-		add(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := feasibility.NewSolver(tc.n, tc.k)
-				s.Workers = tc.workers
-				s.NoIncremental = tc.noIncremental
-				s.NoPrune = tc.noPrune
-				res, err := s.Solve()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Impossible {
-					b.Fatal("expected impossibility")
-				}
-			}
-		})
+		runs[name] = append(runs[name], rn)
 	}
-
-	// State-expansion throughput on the deep (5,9) case: fixed
-	// 2M-expansion budget per op, so every op does identical graph work.
-	// The quotient=off row keeps the unquotiented oracle's cost on
-	// record, quantifying the symmetry quotient's win over time.
-	for _, tc := range []struct {
-		workers    int
-		noQuotient bool
-	}{
-		{1, false}, {0, false}, {1, true},
-	} {
-		tc := tc
-		quot := "on"
-		if tc.noQuotient {
-			quot = "off"
-		}
-		add(fmt.Sprintf("FeasibilityThroughput/n=9/k=5/budget=2M/workers=%d/quotient=%s", tc.workers, quot), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := feasibility.NewSolver(9, 5)
-				s.Workers = tc.workers
-				s.MaxExpansions = 2_000_000
-				s.NoQuotient = tc.noQuotient
-				if _, err := s.Solve(); err != nil && !errors.Is(err, feasibility.ErrBudget) {
-					b.Fatal(err)
-				}
-			}
-		})
+	if err := sc.Err(); err != nil {
+		return nil, err
 	}
-
-	// Full gathering run (Align phase + contraction + final walk).
-	gStart := rigid(5, 24, 8)
-	add("Gathering/n=24/k=8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w, err := gather.NewWorld(gStart)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := gather.Run(w, 500*24*24); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Batched Monte Carlo simulation (internal/mcsim): one op = one warm
-	// batch (caches populated, steady state allocates nothing). Divide
-	// ns/op by the lane count for per-sample cost.
-	mcStart := rigid(8, 12, 5)
-	mcSpec := func(task core.Task, samples, steps int) corda.SimSpec {
-		spec, err := mcsim.SpecFor(task, mcStart, samples, steps, 42)
-		if err != nil {
-			panic(err)
-		}
-		return spec
+	out := make([]result, 0, len(names))
+	for _, name := range names {
+		out = append(out, aggregate(name, runs[name]))
 	}
-	addMC := func(name string, spec corda.SimSpec, workers int) {
-		e, err := mcsim.New(spec, workers)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := e.Simulate(); err != nil {
-			panic(err)
-		}
-		add(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Simulate(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	addMC("MCSimGather/n=12/k=5/lanes=4096/workers=1", mcSpec(core.Gathering, 4096, 100000), 1)
-	addMC("MCSimGather/n=12/k=5/lanes=4096/workers=0", mcSpec(core.Gathering, 4096, 100000), 0)
-	sStart := rigid(8, 12, 6)
-	sSpec, err := mcsim.SpecFor(core.Searching, sStart, 256, 4096, 42)
-	if err != nil {
-		panic(err)
-	}
-	sEng, err := mcsim.New(sSpec, 1)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := sEng.Simulate(); err != nil {
-		panic(err)
-	}
-	add("MCSimSearch/n=12/k=6/lanes=256/workers=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sEng.Simulate(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	return fams
+	return out, nil
 }
 
-// runFamily benchmarks one family `repeats` times and aggregates: the
-// reported ns/op is the median run (robust against one-off scheduler
-// hiccups), the min/max/stddev record the spread for benchdiff's
-// jitter-vs-regression call. Alloc stats are taken from the median run.
-func runFamily(f family, repeats int) result {
-	type run struct {
-		ns     float64
-		iters  int
-		allocs int64
-		bytes  int64
-	}
-	runs := make([]run, 0, repeats)
-	for i := 0; i < repeats; i++ {
-		r := testing.Benchmark(f.fn)
-		runs = append(runs, run{
-			ns:     float64(r.T.Nanoseconds()) / float64(r.N),
-			iters:  r.N,
-			allocs: r.AllocsPerOp(),
-			bytes:  r.AllocedBytesPerOp(),
-		})
-	}
+// aggregate folds one row's repeated runs: the reported ns/op is the
+// median run (robust against one-off scheduler hiccups), the
+// min/max/stddev record the spread for benchdiff's jitter-vs-regression
+// call. Iterations and alloc stats are taken from the median run.
+func aggregate(name string, runs []run) result {
 	sort.Slice(runs, func(i, j int) bool { return runs[i].ns < runs[j].ns })
 	// Lower-middle for even counts: on shared runners noise is one-sided
 	// (slowdowns, not speedups), so the faster middle run is the better
@@ -363,7 +169,7 @@ func runFamily(f family, repeats int) result {
 	}
 	variance /= float64(len(runs))
 	return result{
-		Name:        f.name,
+		Name:        name,
 		Iterations:  med.iters,
 		NsPerOp:     med.ns,
 		AllocsPerOp: med.allocs,
@@ -375,32 +181,49 @@ func runFamily(f family, repeats int) result {
 	}
 }
 
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "bench:", err)
+	os.Exit(1)
+}
+
 func main() {
 	date := time.Now().Format("2006-01-02")
 	out := flag.String("out", "BENCH_"+date+".json", "output JSON path")
-	filter := flag.String("filter", "", "only run families whose name contains this substring")
-	repeats := flag.Int("repeats", 3, "independent runs per family (median reported; min/max/stddev recorded for benchdiff's noise gate)")
+	filter := flag.String("filter", "", "go test -bench regexp selecting the families to run (default: all)")
+	repeats := flag.Int("repeats", 3, "independent runs per family, passed as go test -count (median reported; min/max/stddev recorded for benchdiff's noise gate)")
 	flag.Parse()
 	if *repeats < 1 {
 		*repeats = 1
 	}
+	bench := *filter
+	if bench == "" {
+		bench = "."
+	}
+
+	// The import path, not ".", so bench works from any directory in
+	// the module. The output is echoed live and parsed once go test is
+	// done; a failing benchmark fails go test, and no report is written.
+	var buf bytes.Buffer
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", bench, "-benchmem",
+		"-count", strconv.Itoa(*repeats), "ringrobots")
+	cmd.Stdout = io.MultiWriter(os.Stdout, &buf)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		fail(fmt.Errorf("go test: %w", err))
+	}
+	rows, err := parseBench(&buf)
+	if err != nil {
+		fail(err)
+	}
 
 	rep := report{
-		Date:      date,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Repeats:   *repeats,
-	}
-	for _, f := range families() {
-		if *filter != "" && !strings.Contains(f.name, *filter) {
-			continue
-		}
-		res := runFamily(f, *repeats)
-		rep.Benchmarks = append(rep.Benchmarks, res)
-		fmt.Printf("%-32s %12.1f ns/op %8d allocs/op %10d B/op  (±%.0f over %d runs)\n",
-			res.Name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, res.NsPerOpStdd, res.Repeats)
+		Date:       date,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		Repeats:    *repeats,
+		Benchmarks: rows,
 	}
 
 	// Reference tree-level counters (skipped under -filter, which is
@@ -411,8 +234,7 @@ func main() {
 			s.Workers = 1
 			res, err := s.Solve()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
+				fail(err)
 			}
 			sc := solverCounters{
 				Case:              fmt.Sprintf("n=%d/k=%d", tc.n, tc.k),
@@ -428,20 +250,18 @@ func main() {
 		}
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
+	js, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	buf = append(buf, '\n')
+	js = append(js, '\n')
 	// Temp-file + rename: a crash (or full disk) mid-write must never
 	// leave a truncated report where benchdiff — or a later bench run's
 	// baseline lookup — would read it as the real thing.
-	if err := writeFileAtomic(*out, buf); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
+	if err := writeFileAtomic(*out, js); err != nil {
+		fail(err)
 	}
-	fmt.Println("wrote", *out)
+	fmt.Printf("wrote %s (%d rows)\n", *out, len(rep.Benchmarks))
 }
 
 func writeFileAtomic(path string, data []byte) error {

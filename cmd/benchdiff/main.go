@@ -4,7 +4,8 @@
 //
 //	go run ./cmd/benchdiff BENCH_2026-07-29.json BENCH_2026-07-30.json
 //
-// Benchmarks present in only one report are listed as added/removed.
+// Benchmarks present in only one report are listed as added/removed;
+// when the reports share no benchmark name at all, benchdiff exits 2.
 // The exit status is the regression gate: benchdiff exits nonzero when
 // any benchmark common to both reports slowed down by more than
 // -threshold (default 2×) in ns/op. The gate is noise-aware: when both
@@ -105,6 +106,7 @@ func main() {
 
 	fmt.Printf("benchdiff %s (%s) -> %s (%s)\n", flag.Arg(0), oldRep.Date, flag.Arg(1), newRep.Date)
 	fmt.Printf("%-52s %14s %14s %8s %9s %9s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "old all/op", "new all/op")
+	compared := 0
 	regressions := 0
 	jitter := 0
 	floored := 0
@@ -115,6 +117,7 @@ func main() {
 			continue
 		}
 		delete(oldBy, nw.Name)
+		compared++
 		ratio := 0.0
 		if old.NsPerOp > 0 {
 			ratio = nw.NsPerOp / old.NsPerOp
@@ -153,6 +156,13 @@ func main() {
 	for _, name := range removed {
 		old := oldBy[name]
 		fmt.Printf("%-52s %14.1f %14s %8s %9d %9s  (removed)\n", name, old.NsPerOp, "-", "-", old.AllocsPerOp, "-")
+	}
+	// With no row name in common every row is added or removed and
+	// nothing was gated; passing would turn a renaming slip into a
+	// silent no-op gate.
+	if compared == 0 {
+		fmt.Fprintln(os.Stderr, "benchdiff: the two reports have no benchmark name in common; nothing was compared")
+		os.Exit(2)
 	}
 	if jitter > 0 {
 		fmt.Printf("%d benchmark(s) beyond %.2fx on point estimates but within run spread (not failed)\n", jitter, *threshold)

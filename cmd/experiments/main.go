@@ -1,6 +1,6 @@
-// Command experiments reruns the reproduction experiments E1–E9 of
-// DESIGN.md and prints paper-claim-vs-measured rows — the data behind
-// EXPERIMENTS.md.
+// Command experiments reruns the reproduction experiments E1 and E3–E9
+// and prints paper-claim-vs-measured rows. The E-ids also label the
+// matching benchmark families in bench_test.go.
 //
 // Usage:
 //

@@ -339,7 +339,8 @@ func TestLemma2Reduction0KeepsRigidAndDecreases(t *testing.T) {
 // exactly the paper's conditions 3 ∧ 4 (first = last via
 // q_{ℓ1+1}+1 = q_{k−1}, middle palindromic); the paper's literal wording
 // misses the degenerate suffix of length 1 (ℓ1 = k−2, e.g. W = (0,1,2)),
-// where reduction_1 also creates symmetry. Recorded in EXPERIMENTS.md.
+// where reduction_1 also creates symmetry. TestLemma3Iff checks this form
+// exhaustively.
 func lemma3Conditions(w config.View) bool {
 	k := len(w)
 	l1 := firstPositive(w, 0)
@@ -413,7 +414,7 @@ func TestLemma4Iff(t *testing.T) {
 				// Align never applies reductions at C*; the lemma's
 				// hypotheses implicitly exclude it (at C*, reduction_2 can
 				// produce symmetric or even periodic configurations, e.g.
-				// (1,1,1) from C*(6,3)). Recorded in EXPERIMENTS.md.
+				// (1,1,1) from C*(6,3)).
 				if c.IsCStar() {
 					continue
 				}

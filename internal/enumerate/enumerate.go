@@ -4,7 +4,7 @@
 // model), plus filtered and randomized variants.
 //
 // These spaces drive the exhaustive theorem verifications (E1, E5–E7 in
-// DESIGN.md) and regenerate the configuration counts of the paper's
+// cmd/experiments) and regenerate the configuration counts of the paper's
 // Figures 4–9.
 package enumerate
 

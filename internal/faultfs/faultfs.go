@@ -56,7 +56,7 @@ func (OS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
-func (OS) ReadFile(name string) ([]byte, error)      { return os.ReadFile(name) }
-func (OS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
-func (OS) Remove(name string) error                  { return os.Remove(name) }
-func (OS) Stat(name string) (os.FileInfo, error)     { return os.Stat(name) }
+func (OS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
+func (OS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
+func (OS) Remove(name string) error              { return os.Remove(name) }
+func (OS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }

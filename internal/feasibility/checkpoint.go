@@ -50,12 +50,12 @@ type ckptNogood struct {
 // callback (periodically), or by UnmarshalCheckpoint; they are opaque
 // outside this package except through Stats.
 type Checkpoint struct {
-	version     string
-	n, k        int
-	maxCycleLen int
-	noQuotient  bool
+	version       string
+	n, k          int
+	maxCycleLen   int
+	noQuotient    bool
 	noIncremental bool
-	noPrune     bool
+	noPrune       bool
 
 	pendingTiers []int
 	tierIndex    int // index into pendingTiers of the suspended tier

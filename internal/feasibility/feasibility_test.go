@@ -166,7 +166,7 @@ func TestImpossibilityThreeRobots(t *testing.T) {
 		res, err := NewSolver(n, 3).Solve()
 		if err != nil {
 			if errors.Is(err, ErrBudget) {
-				t.Skipf("n=%d k=3: budget exhausted (recorded in EXPERIMENTS.md)", n)
+				t.Skipf("n=%d k=3: budget exhausted (E4 in cmd/experiments reports the same row)", n)
 			}
 			t.Fatal(err)
 		}

@@ -2,8 +2,8 @@ package mcsim
 
 import (
 	"ringrobots/internal/config"
-	"ringrobots/internal/core"
 	"ringrobots/internal/corda"
+	"ringrobots/internal/core"
 )
 
 // SpecFor assembles the SimSpec matching a task's capability model —

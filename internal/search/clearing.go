@@ -222,7 +222,7 @@ func phase2Decision(w config.View, viewIsLo bool) (corda.Decision, bool) {
 	// block (observed as an A-d ↔ A-d oscillation that never clears the
 	// ring). Lines 12–13 are the operative A-d/A-e rules for every k in
 	// Theorem 6's range, so line 7 is restricted to q0 > 2, where it
-	// never conflicts. Recorded in EXPERIMENTS.md.
+	// never conflicts. TestLine7GuardRegression replays the oscillation.
 	if w[0] > 2 && w[1] == 0 && w[2] == 1 && allZero(3, k-2) && w[k-1] > 2 {
 		return towardQLast, true
 	}

@@ -9,7 +9,8 @@ import (
 
 // unguardedRingClearing reproduces Fig. 11 with line 7 transcribed
 // literally (q0 > 0 instead of the implementation's q0 > 2), to document
-// why the guard is necessary. See EXPERIMENTS.md, E5.
+// why the guard is necessary. See the line 7 comment in clearing.go; E5
+// in cmd/experiments verifies the guarded rule.
 type unguardedRingClearing struct{}
 
 func (unguardedRingClearing) Name() string { return "ring-clearing-literal-line7" }
