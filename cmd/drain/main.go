@@ -1,10 +1,12 @@
 // Command drain runs an impossibility solve as a crash-safe,
 // resumable "drain": the solver's periodic checkpoints are appended to
-// a journal (internal/journal), SIGINT/SIGTERM suspend the search
-// cleanly, budget exhaustion suspends it with the budget spent, and
-// re-running the same command resumes from the journal's last
+// a verdict store (internal/verdictstore), SIGINT/SIGTERM suspend the
+// search cleanly, budget exhaustion suspends it with the budget spent,
+// and re-running the same command resumes from the instance's last
 // checkpoint — surviving kill -9 between appends. The verdict, once
-// reached, is journaled too, so a finished drain is idempotent.
+// reached, is journaled too, so a finished drain is idempotent. The
+// store is keyed by instance, so one journal can hold drains of several
+// instances, and `serve -store` serves a drained journal as-is.
 //
 // Usage:
 //
@@ -47,6 +49,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -59,12 +62,7 @@ import (
 	"ringrobots/internal/faultfs"
 	"ringrobots/internal/feasibility"
 	"ringrobots/internal/journal"
-)
-
-// Journal records carry a one-byte type tag.
-const (
-	recCheckpoint = 'C'
-	recVerdict    = 'V'
+	"ringrobots/internal/verdictstore"
 )
 
 func fatalf(format string, args ...any) {
@@ -199,11 +197,11 @@ func printStats(prefix string, st feasibility.CheckpointStats) {
 func main() {
 	n := flag.Int("n", 9, "ring size")
 	k := flag.Int("k", 5, "robot count")
-	journalPath := flag.String("journal", "", "journal path (required): checkpoints and the verdict are appended here")
+	journalPath := flag.String("journal", "", "verdict-store journal path (required): checkpoints and the verdict are appended here")
 	budget := flag.Int("budget", 0, "per-tier expansion budget for this run (0 = solver default); exhaustion suspends, resuming grants a fresh allowance")
 	workers := flag.Int("workers", 1, "worker pool size (1 = bit-deterministic resume chain)")
 	every := flag.Int("checkpoint-every", 64, "journal a checkpoint every this many processed branches (0 disables periodic checkpoints)")
-	compactAbove := flag.Int("compact-above", 64, "compact the journal down to its latest record when it holds more than this many (0 disables)")
+	compactAbove := flag.Int("compact-above", 64, "compact the journal down to its live records once it holds more than this many and dead bytes exceed live ones (0 disables)")
 	sync := flag.Bool("sync", true, "fsync the journal after every append (survives power loss, not just kill -9)")
 	tiers := flag.String("tiers", "", "comma-separated pending-move tier ladder (default: solver's 0,2)")
 	cycleCap := flag.Int("cycle-cap", 0, "max starvation-loop length (0 = solver default)")
@@ -307,69 +305,28 @@ func main() {
 	if *sync {
 		policy = journal.SyncAlways
 	}
-	log, err := journal.Open(*journalPath, policy)
+	st, err := verdictstore.OpenFS(faultfs.OS{}, *journalPath, policy)
 	if err != nil {
 		if errors.Is(err, journal.ErrCorrupt) {
 			fatalf("open journal: %v\nrun `drain -fsck -journal %s` to inspect, `-fsck -repair` to quarantine the damage and recover the records beyond it", err, *journalPath)
 		}
 		fatalf("open journal: %v", err)
 	}
-	defer log.Close()
+	defer st.Close()
 
-	s := feasibility.NewSolver(*n, *k)
+	// A finished drain is idempotent: rerunning just reprints it.
+	key := inst.Key()
+	if v, ok := st.Verdict(key); ok {
+		fmt.Printf("drain already finished: %s\n", verdictLine(inst, v))
+		return
+	}
+
+	s := inst.Solver()
 	s.Workers = *workers
 	if *budget > 0 {
 		s.MaxExpansions = *budget
 	}
-	if *cycleCap > 0 {
-		s.MaxCycleLen = *cycleCap
-	}
-	if tierList != nil {
-		s.PendingTiers = tierList
-	}
-
-	// A finished drain is idempotent: the verdict record ends the
-	// journal, so re-running just reprints it.
-	var resumeFrom *feasibility.Checkpoint
-	if last, ok := log.Last(); ok {
-		switch last[0] {
-		case recVerdict:
-			fmt.Printf("drain already finished: %s\n", string(last[1:]))
-			return
-		case recCheckpoint:
-			ck, err := feasibility.UnmarshalCheckpoint(last[1:])
-			if err != nil {
-				fatalf("journal %s: corrupt checkpoint record: %v", *journalPath, err)
-			}
-			resumeFrom = ck
-			printStats("resuming", ck.Stats())
-		default:
-			fatalf("journal %s: unknown record type %q", *journalPath, last[0])
-		}
-	}
-
-	saved := 0
 	s.CheckpointEvery = *every
-	if *every > 0 {
-		s.OnCheckpoint = func(cp *feasibility.Checkpoint) error {
-			raw, err := cp.MarshalBinary()
-			if err != nil {
-				return err
-			}
-			if err := log.Append(append([]byte{recCheckpoint}, raw...)); err != nil {
-				return err
-			}
-			saved++
-			if *compactAbove > 0 && log.Len() > *compactAbove {
-				if last, ok := log.Last(); ok {
-					if err := log.Compact([][]byte{last}); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-	}
 	if *crashAfter > 0 {
 		s.BranchHook = func(done int64) {
 			if done >= *crashAfter {
@@ -380,35 +337,16 @@ func main() {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancel()
-
-	var res feasibility.Result
-	var cp *feasibility.Checkpoint
-	if resumeFrom != nil {
-		res, cp, err = s.Resume(ctx, resumeFrom)
-	} else {
-		res, cp, err = s.SolveContext(ctx)
-	}
-
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	res, cp, _, err := st.Drain(ctx, key, inst, s, *compactAbove, logger)
 	switch {
 	case err == nil:
-		verdict := fmt.Sprintf("n=%d k=%d impossible=%v tier=%d tables=%d units=%d survivor=%v",
-			*n, *k, res.Impossible, res.Tier, res.TablesExplored, res.ExpansionUnits, res.SurvivorTable != nil)
-		if err := log.Append(append([]byte{recVerdict}, verdict...)); err != nil {
-			fatalf("journal verdict: %v", err)
-		}
-		fmt.Printf("verdict: %s\n", verdict)
+		fmt.Printf("verdict: %s\n", verdictLine(inst, verdictstore.VerdictOf(res)))
 	case cp != nil:
-		// Suspended (budget or signal) with a live frontier: journal the
-		// final checkpoint so the next run resumes from the exact
-		// suspension point, not the last periodic one.
-		raw, merr := cp.MarshalBinary()
-		if merr != nil {
-			fatalf("marshal suspension checkpoint: %v", merr)
-		}
-		if aerr := log.Append(append([]byte{recCheckpoint}, raw...)); aerr != nil {
-			fatalf("journal suspension checkpoint: %v", aerr)
-		}
 		printStats("suspended", cp.Stats())
+		// Drain journaled the suspension checkpoint after the periodic ones.
+		checkpoints, _ := st.Activity()
+		saved := checkpoints - 1
 		var be *feasibility.BudgetError
 		switch {
 		case errors.As(err, &be):
@@ -421,4 +359,9 @@ func main() {
 	default:
 		fatalf("%v", err)
 	}
+}
+
+func verdictLine(inst feasibility.Instance, v verdictstore.Verdict) string {
+	return fmt.Sprintf("n=%d k=%d impossible=%v tier=%d tables=%d units=%d survivor=%v",
+		inst.N, inst.K, v.Impossible, v.Tier, v.TablesExplored, v.ExpansionUnits, v.Survivor != nil)
 }

@@ -16,7 +16,7 @@ import (
 // doubled-string periodicity check, and the compact comparable CanonKey
 // replacing string map keys in the enumeration, transition and solver
 // layers. Results are computed once per Config and memoized; the naive
-// reference implementations are retained in oracle.go and cross-checked
+// reference implementations are retained in oracle_test.go and cross-checked
 // by differential tests.
 
 // canonData is everything the algebra derives from the interval cycle.

@@ -63,12 +63,8 @@ type Config struct {
 	// is the entire distribution mechanism.
 	Dir string
 	// Instance identifies the drain when the directory holds no prior
-	// state and Seed is nil: the drain starts from the instance's root.
+	// state: the drain starts from the instance's root.
 	Instance feasibility.Instance
-	// Seed optionally starts the drain from an existing checkpoint
-	// (e.g. one produced by a single-process cmd/drain journal).
-	// Ignored when the pool journal already has a partition record.
-	Seed *feasibility.Checkpoint
 	// Shards is the partition width per generation.
 	Shards int
 	// MaxProcs caps concurrently running workers (0: Shards).
@@ -154,10 +150,8 @@ func (cfg Config) Validate() error {
 	if cfg.Launch == nil {
 		errs = append(errs, errors.New("a worker Launch function is required"))
 	}
-	if cfg.Seed == nil {
-		if err := cfg.Instance.Validate(); err != nil {
-			errs = append(errs, err)
-		}
+	if err := cfg.Instance.Validate(); err != nil {
+		errs = append(errs, err)
 	}
 	if len(errs) > 0 {
 		return fmt.Errorf("drainpool: invalid config: %w", errors.Join(errs...))
@@ -289,15 +283,11 @@ func (c *coordinator) run(ctx context.Context) (feasibility.Result, error) {
 		c.cfg.Logf("recovered generation %d: %d shards, %d already done", c.gen, c.shards, len(c.done))
 	} else {
 		c.shards = c.cfg.Shards // valid even if we suspend before the first partition
-		if c.cfg.Seed != nil {
-			c.base = c.cfg.Seed
-		} else {
-			root, err := feasibility.RootCheckpoint(c.cfg.Instance.Solver())
-			if err != nil {
-				return feasibility.Result{}, err
-			}
-			c.base = root
+		root, err := feasibility.RootCheckpoint(c.cfg.Instance.Solver())
+		if err != nil {
+			return feasibility.Result{}, err
 		}
+		c.base = root
 	}
 
 	for cycle := 0; ; cycle++ {

@@ -12,7 +12,7 @@ import (
 // MaxExpansions are deliberately absent — they change wall time and
 // where a drain suspends, never the verdict — so a verdict computed
 // under one budget or worker count is valid for every other. A
-// content-addressed verdict store (internal/service) keys on
+// content-addressed verdict store (internal/verdictstore) keys on
 // Instance.Key, which also folds in SolverVersion: a semantics bump
 // silently retires every stored verdict and checkpoint instead of
 // serving stale answers. The Solver.No* differential oracles are absent

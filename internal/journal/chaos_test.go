@@ -28,7 +28,7 @@ var consumerShapes = []struct {
 	rec  func(i int) []byte
 }{
 	{"store-verdict", func(i int) []byte {
-		// internal/service: 'V' + 32-byte instance key + verdict body.
+		// internal/verdictstore: 'V' + 32-byte instance key + verdict body.
 		key := bytes.Repeat([]byte{byte(i)}, 32)
 		return append(append([]byte{'V'}, key...), 0x01, byte(i), 0x09, 0x7b)
 	}},

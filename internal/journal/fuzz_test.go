@@ -25,7 +25,7 @@ func FuzzScan(f *testing.F) {
 	flip := AppendRecord(nil, []byte("flip-me"))
 	flip[headerSize+2] ^= 1
 	f.Add(flip)
-	// Verdict-store shaped payloads (internal/service): a one-byte
+	// Verdict-store shaped payloads (internal/verdictstore): a one-byte
 	// record type, a 32-byte instance key, then a typed body. Built
 	// inline (the journal is payload-agnostic) so the fuzzer explores
 	// the shapes the store actually journals.

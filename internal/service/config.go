@@ -1,10 +1,11 @@
 // Package service is the long-running verdict service: an HTTP/JSON
 // front end over the impossibility solver that answers feasibility
 // queries for arbitrary (k, n), backed by a persistent
-// content-addressed verdict store (store.go, journal-backed so it
-// survives kill -9), single-flight deduplication so concurrent
-// identical queries cost one solve (flight.go), a bounded worker pool
-// with cheapest-first admission and load shedding (admission.go), and
+// content-addressed verdict store (internal/verdictstore,
+// journal-backed so it survives kill -9), single-flight deduplication
+// so concurrent identical queries cost one solve (flight.go), a bounded
+// worker pool with cheapest-first admission and load shedding
+// (admission.go), and
 // graceful degradation: overload, per-request budgets, deadlines and
 // SIGTERM all suspend in-flight solves through the solver's checkpoint
 // path, the checkpoint is journaled under the same instance key, and a

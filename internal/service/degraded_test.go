@@ -17,6 +17,7 @@ import (
 	"ringrobots/internal/faultfs"
 	"ringrobots/internal/feasibility"
 	"ringrobots/internal/journal"
+	"ringrobots/internal/verdictstore"
 )
 
 // degradedConfig makes sync targeting deterministic: Sync=false means
@@ -118,7 +119,7 @@ func TestNoAckedVerdictLostAcrossDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := OpenStore(path, journal.SyncNone)
+	st, err := verdictstore.OpenFS(faultfs.OS{}, path, journal.SyncNone)
 	if err != nil {
 		t.Fatalf("reopening store on healthy storage: %v", err)
 	}

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"ringrobots/internal/feasibility"
+	"ringrobots/internal/verdictstore"
 )
 
 // The service fault-injection suite, mirroring the solver-level one in
@@ -28,8 +29,9 @@ import (
 // bit-identical under EncodeVerdict, including TablesExplored (single
 // solve worker). This crosses every durability layer at once: periodic
 // checkpoints through Service.runFlight, fsync'd store appends,
-// torn-tail recovery in OpenStore, compaction racing the crashes
-// (CompactAbove is set low on purpose), and the resume-on-retry path.
+// torn-tail recovery in verdictstore.OpenFS, compaction racing the
+// crashes (CompactAbove is set low on purpose), and the resume-on-retry
+// path.
 
 const serviceFaultEnv = "RINGROBOTS_SERVICE_FAULT"
 
@@ -60,7 +62,7 @@ func TestServiceFaultHelper(t *testing.T) {
 	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	var svc *Service
 	reportCompactions := func() {
-		fmt.Printf("COMPACTIONS %d\n", svc.Metrics().storeCompactions.Load())
+		fmt.Printf("COMPACTIONS %d\n", svc.MetricsSnapshot().StoreCompactions)
 	}
 	if crashAfter := int64(atoi("RINGROBOTS_SERVICE_CRASH_AFTER")); crashAfter > 0 {
 		cfg.BranchHook = func(done int64) {
@@ -80,7 +82,7 @@ func TestServiceFaultHelper(t *testing.T) {
 		fail("solve: status %v err %v", resp.Status, resp.Err)
 	}
 	reportCompactions()
-	fmt.Printf("RESULT resumed=%v verdict=%s\n", resp.Resumed, hex.EncodeToString(EncodeVerdict(*resp.Verdict)))
+	fmt.Printf("RESULT resumed=%v verdict=%s\n", resp.Resumed, hex.EncodeToString(verdictstore.EncodeVerdict(*resp.Verdict)))
 	if err := svc.Shutdown(context.Background()); err != nil {
 		fail("shutdown: %v", err)
 	}
@@ -104,22 +106,22 @@ func TestServiceCrashResumeEquivalence(t *testing.T) {
 	// re-does the work since the last checkpoint, so cumulative units
 	// legitimately exceed the uninterrupted run. Everything else —
 	// verdict, tier, survivor, TablesExplored — must be bit-identical.
-	canon := func(v Verdict) string {
+	canon := func(v verdictstore.Verdict) string {
 		v.ExpansionUnits = 0
-		return hex.EncodeToString(EncodeVerdict(v))
+		return hex.EncodeToString(verdictstore.EncodeVerdict(v))
 	}
 	canonHex := func(h string) string {
 		raw, err := hex.DecodeString(h)
 		if err != nil {
 			t.Fatalf("bad verdict hex %q: %v", h, err)
 		}
-		v, err := DecodeVerdict(raw)
+		v, err := verdictstore.DecodeVerdict(raw)
 		if err != nil {
 			t.Fatalf("helper verdict does not decode: %v", err)
 		}
 		return canon(v)
 	}
-	want := canon(verdictOf(solveDirect(t, inst)))
+	want := canon(verdictstore.VerdictOf(solveDirect(t, inst)))
 	storePath := filepath.Join(t.TempDir(), "store.log")
 	rng := rand.New(rand.NewSource(11))
 	kills, compactions := 0, 0

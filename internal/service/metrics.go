@@ -5,12 +5,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ringrobots/internal/verdictstore"
 )
 
 // Metrics is the service's operational counter set, exposed as JSON by
-// the /metricz handler. Counters are atomics; the latency reservoir is
-// a mutex-guarded ring of the most recent solve latencies, from which
-// percentiles are computed on demand.
+// the /metricz handler together with the store's own counters.
+// Counters are atomics; the latency reservoir is a mutex-guarded ring
+// of the most recent solve latencies, from which percentiles are
+// computed on demand.
 type Metrics struct {
 	cacheHits       atomic.Int64 // served from the verdict store
 	cacheMisses     atomic.Int64 // required a solve (or attach to one)
@@ -20,14 +23,11 @@ type Metrics struct {
 	suspended       atomic.Int64 // runs suspended to a checkpoint
 	budgetAborts    atomic.Int64 // suspensions caused by budget exhaustion
 	resumedDrains   atomic.Int64 // runs that resumed a stored checkpoint
-	checkpoints     atomic.Int64 // checkpoint records journaled
 	rejected        atomic.Int64 // requests refused at admission (queue full)
 	shed            atomic.Int64 // queued solves evicted by cheaper arrivals
 	drained         atomic.Int64 // requests refused because the service is draining
 	degradedRejects atomic.Int64 // writes refused in degraded read-only mode
 	inflight        atomic.Int64 // solver runs currently executing
-
-	storeCompactions atomic.Int64 // successful verdict-store compactions
 
 	latMu    sync.Mutex
 	lats     []time.Duration // ring buffer of recent solve latencies
@@ -122,7 +122,7 @@ type Snapshot struct {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func (m *Metrics) snapshot(queueDepth int, st *Store) Snapshot {
+func (m *Metrics) snapshot(queueDepth int, st *verdictstore.Store) Snapshot {
 	ps := m.percentiles(0.50, 0.90, 0.99)
 	m.latMu.Lock()
 	samples := m.latTotal
@@ -136,15 +136,12 @@ func (m *Metrics) snapshot(queueDepth int, st *Store) Snapshot {
 		Suspended:       m.suspended.Load(),
 		BudgetAborts:    m.budgetAborts.Load(),
 		ResumedDrains:   m.resumedDrains.Load(),
-		Checkpoints:     m.checkpoints.Load(),
 		Rejected:        m.rejected.Load(),
 		Shed:            m.shed.Load(),
 		Drained:         m.drained.Load(),
 		DegradedRejects: m.degradedRejects.Load(),
 		InFlight:        m.inflight.Load(),
 		QueueDepth:      queueDepth,
-
-		StoreCompactions: m.storeCompactions.Load(),
 
 		SolveLatencyMsP50:  ms(ps[0]),
 		SolveLatencyMsP90:  ms(ps[1]),
@@ -155,6 +152,7 @@ func (m *Metrics) snapshot(queueDepth int, st *Store) Snapshot {
 	if st != nil {
 		s.StoredVerdicts, s.StoredCheckpoints, s.JournalRecords, s.JournalBytes = st.Counts()
 		s.JournalLiveBytes = st.LiveBytes()
+		s.Checkpoints, s.StoreCompactions = st.Activity()
 	}
 	return s
 }

@@ -12,6 +12,7 @@ import (
 	"ringrobots/internal/faultfs"
 	"ringrobots/internal/feasibility"
 	"ringrobots/internal/journal"
+	"ringrobots/internal/verdictstore"
 )
 
 // Status classifies a Solve outcome for the caller (the HTTP layer
@@ -79,7 +80,7 @@ type Request struct {
 // Response is the outcome delivered to every requester of a flight.
 type Response struct {
 	Status  Status
-	Verdict *Verdict
+	Verdict *verdictstore.Verdict
 	// Cached: served from the verdict store without any solve.
 	Cached bool
 	// Resumed: this run continued a journaled checkpoint rather than
@@ -94,7 +95,7 @@ type Response struct {
 type Service struct {
 	cfg     Config
 	log     *slog.Logger
-	store   *Store
+	store   *verdictstore.Store
 	metrics *Metrics
 	queue   *admitQueue
 
@@ -118,11 +119,6 @@ type degradedInfo struct {
 	reason string
 	since  time.Time
 }
-
-// errStorage tags solver-path errors that originated in the verdict
-// store's journal (as opposed to the solve itself), so runFlight can
-// classify an aborted solve as a storage degradation.
-var errStorage = errors.New("service: storage failure")
 
 // degrade enters sticky read-only mode (first cause wins; later calls
 // are no-ops so the reported reason is the root failure).
@@ -161,7 +157,7 @@ func New(cfg Config) (*Service, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
-	store, err := OpenStoreFS(fsys, cfg.StorePath, policy)
+	store, err := verdictstore.OpenFS(fsys, cfg.StorePath, policy)
 	if err != nil {
 		return nil, err
 	}
@@ -337,106 +333,41 @@ func (s *Service) runFlight(f *flight) {
 	sol.Workers = s.cfg.SolveWorkers
 	sol.MaxExpansions = f.budget
 	sol.BranchHook = s.cfg.BranchHook
-	if s.cfg.CheckpointEvery > 0 {
-		sol.CheckpointEvery = s.cfg.CheckpointEvery
-		sol.OnCheckpoint = func(cp *feasibility.Checkpoint) error {
-			raw, err := cp.MarshalBinary()
-			if err != nil {
-				return err
-			}
-			if err := s.store.PutCheckpoint(f.key, raw); err != nil {
-				// Degrade immediately and abort the solve through the
-				// solver's error path, tagged so runFlight classifies
-				// the abort as storage (not a solver failure).
-				s.degrade(err)
-				return fmt.Errorf("%w: journaling checkpoint: %w", errStorage, err)
-			}
-			s.metrics.checkpoints.Add(1)
-			s.compact()
-			return nil
-		}
-	}
-
-	var res feasibility.Result
-	var cp *feasibility.Checkpoint
-	var err error
-	resumed := false
-	if raw, ok := s.store.Checkpoint(f.key); ok {
-		if ck, derr := feasibility.UnmarshalCheckpoint(raw); derr != nil {
-			s.log.Warn("stored checkpoint undecodable; starting fresh", "inst", f.inst.String(), "err", derr)
-		} else if !ck.Matches(f.inst) {
-			s.log.Warn("stored checkpoint does not match instance; starting fresh", "inst", f.inst.String())
-		} else {
-			resumed = true
-			s.metrics.resumedDrains.Add(1)
-			res, cp, err = sol.Resume(ctx, ck)
-		}
-	}
-	if !resumed {
-		res, cp, err = sol.SolveContext(ctx)
-	}
+	sol.CheckpointEvery = s.cfg.CheckpointEvery
+	res, cp, resumed, err := s.store.Drain(ctx, f.key, f.inst, sol, s.cfg.CompactAbove, s.log)
 	elapsed := time.Since(start)
 	s.metrics.recordLatency(elapsed)
+	if resumed {
+		s.metrics.resumedDrains.Add(1)
+	}
 
 	switch {
 	case err == nil:
-		v := Verdict{
-			Impossible:     res.Impossible,
-			Tier:           res.Tier,
-			TablesExplored: res.TablesExplored,
-			ExpansionUnits: res.ExpansionUnits,
-			Survivor:       res.SurvivorTable,
-		}
-		if perr := s.store.PutVerdict(f.key, v); perr != nil {
-			// The answer is right but not durable: fail the request
-			// rather than serve a verdict a crash could silently
-			// retract, and flip read-only so later misses are refused
-			// up front.
-			s.degrade(perr)
-			s.log.Error("journaling verdict failed", "inst", f.inst.String(), "err", perr)
-			s.finishFlight(f, Response{Status: StatusDegraded, RetryAfter: degradedRetryAfter,
-				Err: fmt.Errorf("service: journaling verdict: %w", perr)})
-			return
-		}
-		s.compact()
+		v := verdictstore.VerdictOf(res)
 		s.metrics.solvesCompleted.Add(1)
 		s.log.Info("solve finished", "inst", f.inst.String(), "impossible", res.Impossible,
 			"tier", res.Tier, "tables", res.TablesExplored, "units", res.ExpansionUnits,
 			"resumed", resumed, "ms", ms(elapsed))
 		s.finishFlight(f, Response{Status: StatusVerdict, Verdict: &v, Resumed: resumed})
 	case cp != nil:
-		// Suspended with a live frontier: journal it so a retry — or a
+		// Suspended with a live frontier, journaled so a retry — or a
 		// restart after SIGTERM — resumes instead of restarting.
 		if errors.Is(err, feasibility.ErrBudget) {
 			s.metrics.budgetAborts.Add(1)
 		}
 		s.metrics.suspended.Add(1)
-		raw, merr := cp.MarshalBinary()
-		if merr != nil {
-			// Encoding failure: a software bug, not storage.
-			s.log.Error("marshaling suspension checkpoint failed", "inst", f.inst.String(), "err", merr)
-			s.finishFlight(f, Response{Status: StatusError, Err: fmt.Errorf("service: marshaling checkpoint: %w", merr)})
-			return
-		}
-		if perr := s.store.PutCheckpoint(f.key, raw); perr != nil {
-			s.degrade(perr)
-			s.log.Error("journaling suspension checkpoint failed", "inst", f.inst.String(), "err", perr)
-			s.finishFlight(f, Response{Status: StatusDegraded, RetryAfter: degradedRetryAfter,
-				Err: fmt.Errorf("service: journaling checkpoint: %w", perr)})
-			return
-		}
-		s.metrics.checkpoints.Add(1)
-		s.compact()
 		s.log.Info("solve suspended", "inst", f.inst.String(), "resumed", resumed,
 			"units", res.ExpansionUnits, "ms", ms(elapsed), "cause", err)
 		s.finishFlight(f, Response{Status: StatusSuspended, Resumed: resumed, RetryAfter: s.retryAfter(), Err: err})
+	case errors.Is(err, verdictstore.ErrStorage):
+		// The store could not persist the verdict or a checkpoint. A
+		// verdict that is not durable is not served: a crash could
+		// silently retract it. Flip read-only so later misses are
+		// refused up front.
+		s.degrade(err)
+		s.log.Error("journaling failed", "inst", f.inst.String(), "err", err)
+		s.finishFlight(f, Response{Status: StatusDegraded, RetryAfter: degradedRetryAfter, Err: err})
 	default:
-		if errors.Is(err, errStorage) {
-			// The solve itself was fine; its periodic checkpoint write
-			// failed (OnCheckpoint already degraded the service).
-			s.finishFlight(f, Response{Status: StatusDegraded, RetryAfter: degradedRetryAfter, Err: err})
-			return
-		}
 		s.log.Error("solve failed", "inst", f.inst.String(), "err", err)
 		s.finishFlight(f, Response{Status: StatusError, Err: err})
 	}
@@ -449,23 +380,6 @@ func (s *Service) finishFlight(f *flight, r Response) {
 	delete(s.flights, f.key)
 	s.mu.Unlock()
 	f.deliver(r)
-}
-
-// compact applies the journal-growth bound, logging (not failing) on
-// error: compaction is an optimization, the append-only log is already
-// correct. The exception is a sticky journal failure (failed fsync):
-// the log will refuse every future write, so the service degrades.
-func (s *Service) compact() {
-	compacted, err := s.store.CompactIfAbove(s.cfg.CompactAbove)
-	if compacted {
-		s.metrics.storeCompactions.Add(1)
-	}
-	if err != nil {
-		s.log.Error("store compaction failed", "err", err)
-		if errors.Is(err, journal.ErrFailed) {
-			s.degrade(err)
-		}
-	}
 }
 
 // Shutdown drains the service: new requests are refused, queued

@@ -15,7 +15,21 @@ import (
 	"time"
 
 	"ringrobots/internal/feasibility"
+	"ringrobots/internal/verdictstore"
 )
+
+// solveDirect runs the solver for an instance with package defaults —
+// the differential oracle every service test compares against.
+func solveDirect(t *testing.T, inst feasibility.Instance) feasibility.Result {
+	t.Helper()
+	s := inst.Solver()
+	s.Workers = 1
+	res, err := s.Solve()
+	if err != nil {
+		t.Fatalf("direct solve %s: %v", inst, err)
+	}
+	return res
+}
 
 func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -108,12 +122,12 @@ func TestSingleFlightDedup(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	want := verdictOf(solveDirect(t, inst))
+	want := verdictstore.VerdictOf(solveDirect(t, inst))
 	for i, r := range resps {
 		if r.Status != StatusVerdict || r.Verdict == nil {
 			t.Fatalf("client %d: %v (err=%v)", i, r.Status, r.Err)
 		}
-		if !bytes.Equal(EncodeVerdict(*r.Verdict), EncodeVerdict(want)) {
+		if !bytes.Equal(verdictstore.EncodeVerdict(*r.Verdict), verdictstore.EncodeVerdict(want)) {
 			t.Fatalf("client %d: verdict differs from the direct solve", i)
 		}
 	}

@@ -1,4 +1,9 @@
-package service
+// Package verdictstore keeps finished verdicts and the checkpoints of
+// unfinished drains in one journal, keyed by instance. Store.Drain is
+// the journaled solve that both the verdict service (/solve) and the
+// single-process cmd/drain run, so a drained journal is a store the
+// service serves as-is.
+package verdictstore
 
 import (
 	"encoding/binary"
@@ -6,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ringrobots/internal/config"
 	"ringrobots/internal/faultfs"
@@ -44,6 +50,17 @@ type Verdict struct {
 	// still be nil if the final tier aborted after earlier tiers
 	// survived — the service never stores those).
 	Survivor feasibility.Table
+}
+
+// VerdictOf is the verdict a finished solve persists.
+func VerdictOf(res feasibility.Result) Verdict {
+	return Verdict{
+		Impossible:     res.Impossible,
+		Tier:           res.Tier,
+		TablesExplored: res.TablesExplored,
+		ExpansionUnits: res.ExpansionUnits,
+		Survivor:       res.SurvivorTable,
+	}
 }
 
 // survivorEntry is one (observation, decision) pair in canonical
@@ -96,7 +113,7 @@ type storeDecoder struct {
 	err error
 }
 
-var errTruncatedRecord = errors.New("service: truncated store record")
+var errTruncatedRecord = errors.New("verdictstore: truncated store record")
 
 func (d *storeDecoder) uvarint() uint64 {
 	if d.err != nil {
@@ -172,7 +189,7 @@ func DecodeVerdict(b []byte) (Verdict, error) {
 			obs := feasibility.ObsKey{Lo: d.canonKey(), Hi: d.canonKey()}
 			dec := d.uvarint()
 			if d.err == nil && dec > uint64(feasibility.DEither) {
-				return Verdict{}, fmt.Errorf("service: verdict decision %d out of range", dec)
+				return Verdict{}, fmt.Errorf("verdictstore: verdict decision %d out of range", dec)
 			}
 			v.Survivor[obs] = feasibility.Decision(dec)
 		}
@@ -181,7 +198,7 @@ func DecodeVerdict(b []byte) (Verdict, error) {
 		return Verdict{}, d.err
 	}
 	if len(d.b) != 0 {
-		return Verdict{}, fmt.Errorf("service: %d trailing bytes after verdict", len(d.b))
+		return Verdict{}, fmt.Errorf("verdictstore: %d trailing bytes after verdict", len(d.b))
 	}
 	return v, nil
 }
@@ -198,11 +215,11 @@ func encodeRecord(typ byte, key string, body []byte) []byte {
 // decodeRecordHeader splits a store record into type, key and body.
 func decodeRecordHeader(rec []byte) (typ byte, key string, body []byte, err error) {
 	if len(rec) < 1+instanceKeyLen {
-		return 0, "", nil, fmt.Errorf("service: store record of %d bytes is shorter than its header", len(rec))
+		return 0, "", nil, fmt.Errorf("verdictstore: store record of %d bytes is shorter than its header", len(rec))
 	}
 	typ = rec[0]
 	if typ != recVerdict && typ != recCheckpoint {
-		return 0, "", nil, fmt.Errorf("service: unknown store record type %q", typ)
+		return 0, "", nil, fmt.Errorf("verdictstore: unknown store record type %q", typ)
 	}
 	return typ, string(rec[1 : 1+instanceKeyLen]), rec[1+instanceKeyLen:], nil
 }
@@ -222,6 +239,9 @@ type Store struct {
 	// exactly the Size a full compaction leaves behind.
 	live      map[string]int64
 	liveBytes int64
+
+	checkpointsJournaled atomic.Int64 // checkpoint records appended
+	compactions          atomic.Int64 // successful compactions
 }
 
 // setLive records a just-journaled payload of payloadLen bytes as
@@ -233,19 +253,14 @@ func (st *Store) setLive(key string, payloadLen int) {
 	st.live[key] = size
 }
 
-// OpenStore opens the store over the real filesystem; see OpenStoreFS.
-func OpenStore(path string, policy journal.SyncPolicy) (*Store, error) {
-	return OpenStoreFS(faultfs.OS{}, path, policy)
-}
-
-// OpenStoreFS opens (creating if absent) the store journal through
+// OpenFS opens (creating if absent) the store journal through
 // fsys and replays it: torn tails are truncated by the journal layer
 // (mid-file corruption makes the open fail with journal.ErrCorrupt —
 // run `drain -fsck -repair` rather than losing served verdicts); a
 // record that passed its checksum but fails semantic decode means a
 // software bug or external corruption, and Open fails rather than
 // serving from a store it cannot fully read.
-func OpenStoreFS(fsys faultfs.FS, path string, policy journal.SyncPolicy) (*Store, error) {
+func OpenFS(fsys faultfs.FS, path string, policy journal.SyncPolicy) (*Store, error) {
 	log, err := journal.OpenFS(fsys, path, policy)
 	if err != nil {
 		return nil, err
@@ -285,7 +300,7 @@ func OpenStoreFS(fsys faultfs.FS, path string, policy journal.SyncPolicy) (*Stor
 	})
 	if err != nil {
 		log.Close()
-		return nil, fmt.Errorf("service: replaying store %s: %w", path, err)
+		return nil, fmt.Errorf("verdictstore: replaying store %s: %w", path, err)
 	}
 	return st, nil
 }
@@ -344,6 +359,7 @@ func (st *Store) PutCheckpoint(key string, raw []byte) error {
 	}
 	st.checkpoints[key] = append([]byte(nil), raw...)
 	st.setLive(key, len(rec))
+	st.checkpointsJournaled.Add(1)
 	return nil
 }
 
@@ -353,6 +369,12 @@ func (st *Store) Counts() (verdicts, checkpoints, records int, bytes int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.verdicts), len(st.checkpoints), st.log.Len(), st.log.Size()
+}
+
+// Activity reports the checkpoint records journaled and the
+// compactions run since the store opened (for /metricz).
+func (st *Store) Activity() (checkpoints, compactions int64) {
+	return st.checkpointsJournaled.Load(), st.compactions.Load()
 }
 
 // LiveBytes reports the framed size of the live records — the journal
@@ -387,6 +409,7 @@ func (st *Store) CompactIfAbove(limit int) (compacted bool, err error) {
 	if err := st.compactLocked(); err != nil {
 		return false, err
 	}
+	st.compactions.Add(1)
 	return true, nil
 }
 

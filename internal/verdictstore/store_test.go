@@ -1,4 +1,4 @@
-package service
+package verdictstore
 
 import (
 	"bytes"
@@ -16,8 +16,7 @@ import (
 )
 
 // solveDirect runs the solver for an instance with package defaults —
-// the differential oracle every store and service test compares
-// against.
+// the differential oracle every store test compares against.
 func solveDirect(t *testing.T, inst feasibility.Instance) feasibility.Result {
 	t.Helper()
 	s := inst.Solver()
@@ -29,23 +28,13 @@ func solveDirect(t *testing.T, inst feasibility.Instance) feasibility.Result {
 	return res
 }
 
-func verdictOf(res feasibility.Result) Verdict {
-	return Verdict{
-		Impossible:     res.Impossible,
-		Tier:           res.Tier,
-		TablesExplored: res.TablesExplored,
-		ExpansionUnits: res.ExpansionUnits,
-		Survivor:       res.SurvivorTable,
-	}
-}
-
 func TestVerdictEncodeDecodeRoundTrip(t *testing.T) {
 	// A survivor-bearing verdict from a crippled-adversary solve and an
 	// impossibility verdict exercise both encoding branches.
 	surv := feasibility.Instance{N: 5, K: 3, MaxCycleLen: 2, PendingTiers: []int{0}}
 	imp := feasibility.Instance{N: 7, K: 3}
 	for i, inst := range []feasibility.Instance{surv, imp} {
-		want := verdictOf(solveDirect(t, inst))
+		want := VerdictOf(solveDirect(t, inst))
 		if wantSurvivor := i == 0; (want.Survivor != nil) != wantSurvivor {
 			t.Fatalf("%s: survivor presence %v, case expects %v", inst, want.Survivor != nil, wantSurvivor)
 		}
@@ -86,9 +75,9 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
 	instA := feasibility.Instance{N: 7, K: 3}.Normalized()
 	instB := feasibility.Instance{N: 7, K: 4}.Normalized()
-	vA := verdictOf(solveDirect(t, instA))
+	vA := VerdictOf(solveDirect(t, instA))
 
-	st, err := OpenStore(path, journal.SyncAlways)
+	st, err := OpenFS(faultfs.OS{}, path, journal.SyncAlways)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -114,7 +103,7 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	st2, err := OpenStore(path, journal.SyncAlways)
+	st2, err := OpenFS(faultfs.OS{}, path, journal.SyncAlways)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -134,12 +123,12 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 
 func TestStoreCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
-	st, err := OpenStore(path, journal.SyncNone)
+	st, err := OpenFS(faultfs.OS{}, path, journal.SyncNone)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	inst := feasibility.Instance{N: 7, K: 3}.Normalized()
-	v := verdictOf(solveDirect(t, inst))
+	v := VerdictOf(solveDirect(t, inst))
 	if err := st.PutVerdict(inst.Key(), v); err != nil {
 		t.Fatalf("put verdict: %v", err)
 	}
@@ -189,7 +178,7 @@ func TestStoreCompaction(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	st2, err := OpenStore(path, journal.SyncNone)
+	st2, err := OpenFS(faultfs.OS{}, path, journal.SyncNone)
 	if err != nil {
 		t.Fatalf("reopen after compaction: %v", err)
 	}
@@ -216,7 +205,7 @@ func testKey(i int) string {
 // record floor or within twice the live bytes.
 func TestStoreLiveBytesAccounting(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
-	st, err := OpenStore(path, journal.SyncNone)
+	st, err := OpenFS(faultfs.OS{}, path, journal.SyncNone)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -268,7 +257,7 @@ func TestStoreLiveBytesAccounting(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatalf("step %d: close: %v", step, err)
 			}
-			if st, err = OpenStore(path, journal.SyncNone); err != nil {
+			if st, err = OpenFS(faultfs.OS{}, path, journal.SyncNone); err != nil {
 				t.Fatalf("step %d: reopen: %v", step, err)
 			}
 		}
@@ -360,7 +349,7 @@ func TestStoreCompactionAmortized(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("checkpoint-%dB", tc.cpBytes), func(t *testing.T) {
 			fsys := &countingFS{FS: faultfs.OS{}}
-			st, err := OpenStoreFS(fsys, filepath.Join(t.TempDir(), "store.log"), journal.SyncNone)
+			st, err := OpenFS(fsys, filepath.Join(t.TempDir(), "store.log"), journal.SyncNone)
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
