@@ -194,7 +194,9 @@ func BenchmarkImpossibility(b *testing.B) {
 // behaviour is pinned by the determinism tests, not timed here). The
 // incremental=off and prune=off rows keep the respective differential
 // oracles' cost on record, quantifying the sibling-branch reuse and
-// tree-level pruning wins over time.
+// tree-level pruning wins over time. n=11/k=6 is the instance the
+// end-to-end drain-single workload drains: 11,000 tables, dominated by
+// branch selection over large waiter registries.
 func BenchmarkFeasibilitySolve(b *testing.B) {
 	for _, tc := range []struct {
 		n, k          int
@@ -204,6 +206,7 @@ func BenchmarkFeasibilitySolve(b *testing.B) {
 		{7, 4, false, false}, {8, 5, false, false},
 		{7, 4, true, false}, {8, 5, true, false},
 		{7, 4, false, true}, {8, 5, false, true},
+		{11, 6, false, false},
 	} {
 		name := fmt.Sprintf("n=%d/k=%d/workers=1", tc.n, tc.k)
 		if tc.noIncremental {

@@ -134,7 +134,11 @@ func (s *Solver) captureCheckpoint(tiers []int, ti int, counters Result, survivo
 		}
 		p := addNode(nd.parent) // parents first: children refer backward
 		id := int32(len(ck.nodes))
-		ck.nodes = append(ck.nodes, ckptNode{parent: p, obs: nd.obs, d: nd.d, openKids: nd.openKids.Load()})
+		cn := ckptNode{parent: p, d: nd.d, openKids: nd.openKids.Load()}
+		if nd.parent != nil {
+			cn.obs = s.obsCache.key(nd.oid)
+		}
+		ck.nodes = append(ck.nodes, cn)
 		index[nd] = id
 		return id
 	}
@@ -148,22 +152,24 @@ func (s *Solver) captureCheckpoint(tiers []int, ti int, counters Result, survivo
 }
 
 // rebuildFrontier reconstructs the open branches as live tableNode
-// chains (shared ancestors shared again, openKids restored), in the
-// stored queue order. Snapshots are not checkpointed: resumed branches
-// run a full analysis, whose per-branch outputs the incremental mode's
-// differential contract pins as identical.
-func (ck *Checkpoint) rebuildFrontier() ([]*tableNode, error) {
+// chains (shared ancestors shared again, openKids restored, observations
+// numbered by c), in the stored queue order. Snapshots are not
+// checkpointed: resumed branches run a full analysis, whose per-branch
+// outputs the incremental mode's differential contract pins as
+// identical.
+func (ck *Checkpoint) rebuildFrontier(c *obsCache) ([]*tableNode, error) {
 	if len(ck.frontier) == 0 {
 		return nil, errors.New("feasibility: checkpoint has an empty frontier")
 	}
 	nodes := make([]*tableNode, len(ck.nodes))
 	for i, cn := range ck.nodes {
-		nd := &tableNode{obs: cn.obs, d: cn.d}
+		nd := &tableNode{d: cn.d}
 		if cn.parent >= 0 {
 			if int(cn.parent) >= i {
 				return nil, fmt.Errorf("feasibility: checkpoint node %d references non-prior parent %d", i, cn.parent)
 			}
 			nd.parent = nodes[cn.parent]
+			nd.oid = c.idOf(cn.obs)
 		}
 		nd.openKids.Store(cn.openKids)
 		nodes[i] = nd

@@ -98,9 +98,9 @@ func (w *searcher) publishSnap(children int) *branchSnap {
 // analyzeIncremental is analyze for a branch carrying its parent's
 // snapshot: same contract, same outputs, but expansion work
 // proportional to the frontier the branch's one new table entry
-// unlocks. nd.obs is that entry's observation; the decision is already
+// unlocks. nd.oid is that entry's observation; the decision is already
 // materialized in w.table.
-func (w *searcher) analyzeIncremental(nd *tableNode) (win bool, neededObs ObsKey, legal uint8, err error) {
+func (w *searcher) analyzeIncremental(nd *tableNode) (win bool, needed int32, legal uint8, err error) {
 	snap := nd.snap
 	inherited := int32(len(snap.states))
 
@@ -134,7 +134,7 @@ func (w *searcher) analyzeIncremental(nd *tableNode) (win bool, neededObs ObsKey
 	w.dirtyList = w.dirtyList[:0]
 	for i := range snap.waiters {
 		e := &snap.waiters[i]
-		if e.obs == nd.obs && w.dirtyMark[e.id] != w.dirtyEpoch {
+		if e.oid == nd.oid && w.dirtyMark[e.id] != w.dirtyEpoch {
 			w.dirtyMark[e.id] = w.dirtyEpoch
 			w.dirtyList = append(w.dirtyList, e.id)
 		}
@@ -146,7 +146,7 @@ func (w *searcher) analyzeIncremental(nd *tableNode) (win bool, neededObs ObsKey
 	w.waiters = w.waiters[:0]
 	for i := range snap.waiters {
 		e := &snap.waiters[i]
-		if e.obs == nd.obs || w.dirtyMark[e.id] == w.dirtyEpoch {
+		if e.oid == nd.oid || w.dirtyMark[e.id] == w.dirtyEpoch {
 			continue
 		}
 		w.waiters = append(w.waiters, *e)
@@ -167,18 +167,18 @@ func (w *searcher) analyzeIncremental(nd *tableNode) (win bool, neededObs ObsKey
 	w.orderDirtyByCollision()
 	for _, id := range w.dirtyList {
 		if err := w.checkAbort(); err != nil {
-			return false, ObsKey{}, 0, err
+			return false, 0, 0, err
 		}
 		if w.expand(id) {
-			return true, ObsKey{}, 0, nil // collision forced
+			return true, 0, 0, nil // collision forced
 		}
 	}
 	for id := inherited; int(id) < len(w.states); id++ {
 		if err := w.checkAbort(); err != nil {
-			return false, ObsKey{}, 0, err
+			return false, 0, 0, err
 		}
 		if w.expand(id) {
-			return true, ObsKey{}, 0, nil
+			return true, 0, 0, nil
 		}
 	}
 
@@ -190,7 +190,7 @@ func (w *searcher) analyzeIncremental(nd *tableNode) (win bool, neededObs ObsKey
 	full := uint64(1)<<uint(w.n) - 1
 	for id := range w.states {
 		if w.info[id].allStayDeadlock && w.cont[id] != full {
-			return true, ObsKey{}, 0, nil
+			return true, 0, 0, nil
 		}
 	}
 
@@ -211,18 +211,18 @@ func (w *searcher) analyzeIncremental(nd *tableNode) (win bool, neededObs ObsKey
 			}
 			bad, err := w.findBadCycle(id, lengthCap)
 			if err != nil {
-				return false, ObsKey{}, 0, err
+				return false, 0, 0, err
 			}
 			if bad {
-				return true, ObsKey{}, 0, nil
+				return true, 0, 0, nil
 			}
 		}
 	}
 	if bad, err := w.huntNonSimple(cleanHead); bad || err != nil {
 		if err != nil {
-			return false, ObsKey{}, 0, err
+			return false, 0, 0, err
 		}
-		return true, ObsKey{}, 0, nil
+		return true, 0, 0, nil
 	}
 
 	best, bestMask := w.selectNeeded()

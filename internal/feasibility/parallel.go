@@ -17,10 +17,11 @@ import (
 // persistent chain: a branch's table is the path from its node to the
 // root. Sibling branches share their common prefix, so enqueueing a
 // branch costs one small allocation instead of a map clone; workers
-// materialize the chain into a scratch map once per analyze.
+// materialize the chain into scratch once per analyze
+// (searcher.materialize).
 type tableNode struct {
 	parent *tableNode // nil only for the root (empty table)
-	obs    ObsKey
+	oid    int32      // the bound observation's dense id (obsCache.key)
 	d      Decision
 	// snap is the parent branch's published analysis (nil for the root
 	// and in NoIncremental mode): the child differs from it by exactly
@@ -36,18 +37,12 @@ type tableNode struct {
 	openKids atomic.Int32
 }
 
-// materializeInto rebuilds the chain as a lookup map (cleared first).
-func (nd *tableNode) materializeInto(t Table) {
-	clear(t)
-	for ; nd != nil && nd.parent != nil; nd = nd.parent {
-		t[nd.obs] = nd.d
-	}
-}
-
 // toTable returns the chain as a fresh Table (for Result.SurvivorTable).
-func (nd *tableNode) toTable() Table {
+func (nd *tableNode) toTable(c *obsCache) Table {
 	t := make(Table)
-	nd.materializeInto(t)
+	for ; nd != nil && nd.parent != nil; nd = nd.parent {
+		t[c.key(nd.oid)] = nd.d
+	}
 	return t
 }
 
@@ -192,9 +187,10 @@ func (q *workQueue) stop() {
 // --- sharded observation cache ----------------------------------------------
 
 // obsSet is everything expansion needs to know about one configuration
-// (occupied mask): the per-robot observations and the same-observation
-// groups (size ≥ 2) eligible for simultaneous activation. It is computed
-// once per mask and shared read-only across branches and workers.
+// (occupied mask): the per-robot observations (by dense id) and the
+// same-observation groups (size ≥ 2) eligible for simultaneous
+// activation. It is computed once per mask and shared read-only across
+// branches and workers.
 type obsSet struct {
 	infos []obsInfo
 	// groups lists indices into infos of robots sharing one observation,
@@ -205,6 +201,11 @@ type obsSet struct {
 
 const obsCacheShards = 64
 
+// obsChunkBits sizes the blocks of the id → ObsKey table.
+const obsChunkBits = 8
+
+type obsChunk [1 << obsChunkBits]ObsKey
+
 // obsCache memoizes obsSet per occupied mask across all table branches
 // of a Solve, sharded to keep contention negligible under the worker
 // pool. Duplicated computation on a racing miss is benign (the value is
@@ -212,19 +213,37 @@ const obsCacheShards = 64
 // canonical frame, so the cache holds one entry per configuration class
 // — the same dihedral reduction as the interned frontier — instead of
 // one per node labeling.
+//
+// The cache also gives every observation a dense id, assigned when an
+// obsSet is built on a miss (or when a checkpoint names one). The
+// search carries ids in waiters, obsSets and table chains, so equality
+// is an int32 compare; the ObsKey is fetched by id only where a key is
+// needed (table lookups, credits, tie-breaks, checkpoints). Ids depend
+// on which worker built which obsSet first, so nothing may order by
+// them: every ordering decision goes through ObsKey.Less.
 type obsCache struct {
 	n      int
 	shards [obsCacheShards]struct {
 		mu sync.RWMutex
 		m  map[uint64]*obsSet
 	}
+
+	// idMu guards ids and the appends to keys.
+	idMu sync.Mutex
+	ids  map[ObsKey]int32
+	// keys is the append-only id → ObsKey table: a directory of
+	// fixed-size chunks, republished whole only when a chunk is added.
+	// A slot is written once, under idMu, before its id is handed out,
+	// so key reads it without a lock.
+	keys atomic.Pointer[[]*obsChunk]
 }
 
 func newObsCache(n int) *obsCache {
-	c := &obsCache{n: n}
+	c := &obsCache{n: n, ids: make(map[ObsKey]int32)}
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]*obsSet)
 	}
+	c.keys.Store(new([]*obsChunk))
 	return c
 }
 
@@ -240,7 +259,7 @@ func (c *obsCache) get(occ uint64) *obsSet {
 	if os != nil {
 		return os
 	}
-	os = buildObsSet(occ, c.n)
+	os = c.build(occ)
 	sh.mu.Lock()
 	if prev := sh.m[occ]; prev != nil {
 		os = prev
@@ -251,21 +270,45 @@ func (c *obsCache) get(occ uint64) *obsSet {
 	return os
 }
 
-func buildObsSet(occ uint64, n int) *obsSet {
+// key returns the observation an id was assigned to.
+func (c *obsCache) key(id int32) ObsKey {
+	return (*c.keys.Load())[id>>obsChunkBits][id&(1<<obsChunkBits-1)]
+}
+
+// idOf returns the id of o, assigning the next one on first sight.
+func (c *obsCache) idOf(o ObsKey) int32 {
+	c.idMu.Lock()
+	defer c.idMu.Unlock()
+	if id, ok := c.ids[o]; ok {
+		return id
+	}
+	id := int32(len(c.ids))
+	dir := *c.keys.Load()
+	if int(id>>obsChunkBits) == len(dir) {
+		grown := append(dir[:len(dir):len(dir)], new(obsChunk))
+		c.keys.Store(&grown)
+		dir = grown
+	}
+	dir[id>>obsChunkBits][id&(1<<obsChunkBits-1)] = o
+	c.ids[o] = id
+	return id
+}
+
+func (c *obsCache) build(occ uint64) *obsSet {
 	st := state{occupied: occ}
-	cfg := st.config(n)
+	cfg := st.config(c.n)
 	os := &obsSet{infos: make([]obsInfo, 0, bits.OnesCount64(occ))}
-	for u := 0; u < n; u++ {
+	for u := 0; u < c.n; u++ {
 		if !st.occupiedAt(u) {
 			continue
 		}
 		obs, loDir, legal := obsOf(cfg, u)
-		os.infos = append(os.infos, obsInfo{node: u, obs: obs, loDir: loDir, legal: legal})
+		os.infos = append(os.infos, obsInfo{node: u, oid: c.idOf(obs), loDir: loDir, legal: legal})
 	}
 	for i := range os.infos {
 		grouped := false
 		for _, g := range os.groups {
-			if os.infos[g[0]].obs == os.infos[i].obs {
+			if os.infos[g[0]].oid == os.infos[i].oid {
 				grouped = true
 				break
 			}
@@ -275,7 +318,7 @@ func buildObsSet(occ uint64, n int) *obsSet {
 		}
 		var g []int32
 		for j := i + 1; j < len(os.infos); j++ {
-			if os.infos[j].obs == os.infos[i].obs {
+			if os.infos[j].oid == os.infos[i].oid {
 				g = append(g, int32(j))
 			}
 		}

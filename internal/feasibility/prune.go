@@ -14,7 +14,7 @@ import (
 // (the differential oracle, exactly as NoQuotient and NoIncremental are
 // for their layers):
 //
-//   - Refutation-guided observation ordering (selectNeededScored,
+//   - Refutation-guided observation ordering (selectNeeded,
 //     searcher.go): instead of branching on the undefined observation
 //     with the fewest legal decisions, branch on the one with the most
 //     waiting states plus a per-tier refutation credit updated on
@@ -71,7 +71,7 @@ import (
 // cache.
 
 // pruneCreditWeight scales the per-observation refutation credit
-// against the waiting-state count in selectNeededScored. Swept over
+// against the waiting-state count in selectNeeded. Swept over
 // {0, 1, 4, 16} on the paper cases before per-tier credit scoping: 4 is
 // the plateau ((4,9) 218 → 127 tables vs credit-free ordering; the
 // later per-tier reset moved (5,9) far more than any weight choice).
@@ -130,7 +130,7 @@ type nogoodRec struct {
 
 // pruneState is the pruning state shared by all workers and all tiers
 // of one Solve: the per-observation refutation credits read by
-// selectNeededScored, and the sharded nogood store. Both sides shard by
+// selectNeeded, and the sharded nogood store. Both sides shard by
 // observation hash to keep contention negligible under the worker
 // pool; racing lookups that miss a just-recorded entry are benign (a
 // missed prune is just an analyzed branch).
@@ -397,9 +397,9 @@ func (w *searcher) closeRefuted(nd *tableNode, leaf bool) {
 		if w.ts.stop.Load() {
 			return
 		}
-		pr.addCredit(nd.obs)
+		pr.addCredit(w.ts.obs.key(nd.oid))
 		if !leaf && w.ts.recordNogoods {
-			pr.recordNogood(w.ts.pendingLimit, nogoodEntries(nd))
+			pr.recordNogood(w.ts.pendingLimit, nogoodEntries(nd, w.ts.obs))
 		}
 		p := nd.parent
 		if p.openKids.Add(-1) != 0 {
@@ -413,7 +413,7 @@ func (w *searcher) closeRefuted(nd *tableNode, leaf bool) {
 // nogoodEntries serializes a branch's table chain as a fresh sorted
 // entry slice (retained by the nogood store), or nil when the table is
 // too deep to be worth recording.
-func nogoodEntries(nd *tableNode) []pruneEntry {
+func nogoodEntries(nd *tableNode, oc *obsCache) []pruneEntry {
 	n := 0
 	for c := nd; c != nil && c.parent != nil; c = c.parent {
 		n++
@@ -423,7 +423,7 @@ func nogoodEntries(nd *tableNode) []pruneEntry {
 	}
 	entries := make([]pruneEntry, 0, n)
 	for c := nd; c != nil && c.parent != nil; c = c.parent {
-		e := pruneEntry{obs: c.obs, d: c.d}
+		e := pruneEntry{obs: oc.key(c.oid), d: c.d}
 		// Insertion sort by observation key; chains are short and
 		// near-sorted order does not matter at this size.
 		i := len(entries)
@@ -492,12 +492,12 @@ func (pr *pruneState) importState(credits []ckptCredit, nogoods []ckptNogood) {
 	}
 }
 
-// dominatedChild reports whether binding obs := d hands the adversary
-// an immediate win at a state already waiting on obs, making the child
-// branch refutable without analysis. Both probes replicate precisely a
-// check the child's own analysis performs during its first dirty
-// re-expansion, so a pruned child is a branch the unpruned search would
-// provably close as a win:
+// dominatedChild reports whether binding the observation oid := d
+// hands the adversary an immediate win at a state already waiting on
+// it, making the child branch refutable without analysis. Both probes
+// replicate precisely a check the child's own analysis performs during
+// its first dirty re-expansion, so a pruned child is a branch the
+// unpruned search would provably close as a win:
 //
 //   - d == DStay: the waiter state completes an all-stay deadlock —
 //     no pending move, every robot's decision known and Stay under the
@@ -517,12 +517,12 @@ func (pr *pruneState) importState(credits []ckptCredit, nogoods []ckptNogood) {
 // excludes moves onto occupied nodes, and every robot with this
 // observation has the same neighborhood by view-determinism), so group
 // activations are the only one-step collision source.
-func (w *searcher) dominatedChild(obs ObsKey, d Decision) bool {
+func (w *searcher) dominatedChild(oid int32, d Decision) bool {
 	if d == DStay {
 		full := uint64(1)<<uint(w.n) - 1
 		for i := range w.waiters {
 			e := &w.waiters[i]
-			if e.obs != obs || w.cont[e.id] == full {
+			if e.oid != oid || w.cont[e.id] == full {
 				continue
 			}
 			st := w.states[e.id]
@@ -534,9 +534,9 @@ func (w *searcher) dominatedChild(obs ObsKey, d Decision) bool {
 			for j := range os.infos {
 				oi := &os.infos[j]
 				dd := DStay
-				if oi.obs != obs {
+				if oi.oid != oid {
 					var known bool
-					dd, known = w.table[oi.obs]
+					dd, known = w.table[w.ts.obs.key(oi.oid)]
 					if !known {
 						dead = false
 						break
@@ -555,13 +555,13 @@ func (w *searcher) dominatedChild(obs ObsKey, d Decision) bool {
 	}
 	for i := range w.waiters {
 		e := &w.waiters[i]
-		if e.obs != obs {
+		if e.oid != oid {
 			continue
 		}
 		st := w.states[e.id]
 		os := w.ts.obs.get(st.occupied)
 		for _, g := range os.groups {
-			if os.infos[g[0]].obs != obs {
+			if os.infos[g[0]].oid != oid {
 				continue
 			}
 			w.groupBuf = w.groupBuf[:0]

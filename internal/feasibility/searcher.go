@@ -83,8 +83,12 @@ type searcher struct {
 	quotient bool
 
 	// table is the current branch's decision table, rebuilt from the
-	// copy-on-write chain once per analyze.
-	table Table
+	// copy-on-write chain once per analyze (materialize), which also
+	// stamps the bound ids in obsSlots with tableEpoch. tableEpoch
+	// starts above a fresh slot's zero stamp, so a table that was
+	// assigned rather than materialized binds no slot.
+	table      Table
+	tableEpoch uint64
 
 	// State interning: states[id], cont[id] (stem contamination clear
 	// mask at discovery) and info[id] are parallel; edges is the shared
@@ -160,12 +164,16 @@ type searcher struct {
 	groupBuf []obsInfo
 	dirs     []ring.Direction
 
-	// Pruning scratch: the distinct-observation aggregation of
-	// selectNeededScored, and the per-component flag of the
+	// Per-observation-id scratch (see obsSlot), and branch selection's
+	// list of the waiter registry's distinct observations.
+	obsSlots []obsSlot
+	agg      []obsAgg
+	aggEpoch uint64
+
+	// Pruning scratch: the per-component flag of the
 	// bounded-multiplicity lasso hunt (true when the component carries
 	// an in-component non-identity-isometry edge — the profile gate for
-	// non-simple projected cycles).
-	agg        []obsAgg
+	// non-simple projected cycles), and the table's nogood anchors.
 	compIso    []bool
 	anchorHash []uint64
 
@@ -173,20 +181,42 @@ type searcher struct {
 	local int64
 }
 
-// waiter is one registered unknown: state id waits on obs, whose legal
-// decisions are legal. See searcher.waiters.
+// waiter is one registered unknown: state id waits on the observation
+// with dense id oid, whose legal decisions are legal. See
+// searcher.waiters.
 type waiter struct {
-	obs   ObsKey
+	oid   int32
 	id    int32
 	legal uint8
 }
 
-// obsAgg is one distinct undefined observation in selectNeededScored's
-// aggregation: how many waiter registrations it has and its legal mask.
+// obsAgg is one distinct observation in selectNeeded's aggregation: how
+// many waiter registrations it has and its legal mask.
 type obsAgg struct {
-	obs   ObsKey
+	oid   int32
 	count int32
 	legal uint8
+}
+
+// obsSlot is a searcher's scratch for one observation id, stamped
+// rather than cleared (the interntable.go idiom): bound == tableEpoch
+// while the current branch's table defines the observation, and at
+// indexes its obsAgg entry while agg == aggEpoch.
+type obsSlot struct {
+	bound uint64
+	agg   uint64
+	at    int32
+}
+
+// slot returns oid's scratch slot, growing the slot array as the
+// solve's observation ids grow.
+func (w *searcher) slot(oid int32) *obsSlot {
+	if int(oid) >= len(w.obsSlots) {
+		grown := make([]obsSlot, 2*int(oid)+1)
+		copy(grown, w.obsSlots)
+		w.obsSlots = grown
+	}
+	return &w.obsSlots[oid]
 }
 
 func newSearcher(ts *tierSearch) *searcher {
@@ -196,6 +226,7 @@ func newSearcher(ts *tierSearch) *searcher {
 		pendingLimit: ts.pendingLimit,
 		quotient:     ts.quotient,
 		table:        make(Table, 64),
+		tableEpoch:   1,
 		canonCache:   make(map[uint64]occCanon, 1<<8),
 		dirs:         make([]ring.Direction, ts.k),
 	}
@@ -246,9 +277,9 @@ func (w *searcher) process(nd *tableNode) {
 		return
 	}
 	w.ts.tables.Add(1)
-	nd.materializeInto(w.table)
+	w.materialize(nd)
 	var win bool
-	var needed ObsKey
+	var needed int32
 	var legal uint8
 	var err error
 	if nd.snap != nil {
@@ -280,12 +311,13 @@ func (w *searcher) process(nd *tableNode) {
 		return
 	}
 	if legal == 0 {
-		w.ts.foundSurvivor(nd.toTable())
+		w.ts.foundSurvivor(nd.toTable(w.ts.obs))
 		return
 	}
 	var kept [4]Decision
 	nk := 0
 	pr := w.ts.prune
+	neededKey := w.ts.obs.key(needed)
 	var tsig uint64
 	checkNogoods := pr != nil && pr.recorded.Load() > 0
 	if checkNogoods {
@@ -298,12 +330,12 @@ func (w *searcher) process(nd *tableNode) {
 		if pr != nil {
 			if w.dominatedChild(needed, d) {
 				w.ts.dominated.Add(1)
-				pr.addCredit(needed)
+				pr.addCredit(neededKey)
 				continue
 			}
-			if checkNogoods && pr.nogoodHit(w.ts.pendingLimit, w.table, tsig, w.anchorHash, needed, d) {
+			if checkNogoods && pr.nogoodHit(w.ts.pendingLimit, w.table, tsig, w.anchorHash, neededKey, d) {
 				w.ts.memoHits.Add(1)
-				pr.addCredit(needed)
+				pr.addCredit(neededKey)
 				continue
 			}
 		}
@@ -322,7 +354,18 @@ func (w *searcher) process(nd *tableNode) {
 	}
 	nd.openKids.Store(int32(nk))
 	for i := 0; i < nk; i++ {
-		w.ts.queue.push(&tableNode{parent: nd, obs: needed, d: kept[i], snap: snap})
+		w.ts.queue.push(&tableNode{parent: nd, oid: needed, d: kept[i], snap: snap})
+	}
+}
+
+// materialize rebuilds the branch's table from its copy-on-write chain
+// into w.table and stamps each bound id's slot.
+func (w *searcher) materialize(nd *tableNode) {
+	clear(w.table)
+	w.tableEpoch++
+	for ; nd != nil && nd.parent != nil; nd = nd.parent {
+		w.table[w.ts.obs.key(nd.oid)] = nd.d
+		w.slot(nd.oid).bound = w.tableEpoch
 	}
 }
 
@@ -382,9 +425,9 @@ func (w *searcher) step(u int, d ring.Direction) int {
 // analyze explores the adversary-reachable state graph under the current
 // table. It returns win=true when a collision or a fair starvation lasso
 // is forced using only defined entries; otherwise it reports an
-// undefined observation (legal != 0) for the table search to branch on,
-// or legal == 0 when the table already determines all behavior.
-func (w *searcher) analyze() (win bool, neededObs ObsKey, legal uint8, err error) {
+// undefined observation's id (legal != 0) for the table search to branch
+// on, or legal == 0 when the table already determines all behavior.
+func (w *searcher) analyze() (win bool, needed int32, legal uint8, err error) {
 	w.tab.reset()
 	w.waiters = w.waiters[:0]
 	w.states = w.states[:0]
@@ -407,15 +450,15 @@ func (w *searcher) analyze() (win bool, neededObs ObsKey, legal uint8, err error
 	// BFS: appending interned states makes the slice its own queue.
 	for id := int32(0); int(id) < len(w.states); id++ {
 		if err := w.checkAbort(); err != nil {
-			return false, ObsKey{}, 0, err
+			return false, 0, 0, err
 		}
 		if w.expand(id) {
-			return true, ObsKey{}, 0, nil // collision forced
+			return true, 0, 0, nil // collision forced
 		}
 		if w.info[id].allStayDeadlock && w.cont[id] != full {
 			// Nothing ever moves again and the ring is not clear: a fair
 			// (all robots cycle with Stay) starvation of the task.
-			return true, ObsKey{}, 0, nil
+			return true, 0, 0, nil
 		}
 	}
 
@@ -433,18 +476,18 @@ func (w *searcher) analyze() (win bool, neededObs ObsKey, legal uint8, err error
 			}
 			bad, err := w.findBadCycle(id, lengthCap)
 			if err != nil {
-				return false, ObsKey{}, 0, err
+				return false, 0, 0, err
 			}
 			if bad {
-				return true, ObsKey{}, 0, nil
+				return true, 0, 0, nil
 			}
 		}
 	}
 	if bad, err := w.huntNonSimple(nil); bad || err != nil {
 		if err != nil {
-			return false, ObsKey{}, 0, err
+			return false, 0, 0, err
 		}
-		return true, ObsKey{}, 0, nil
+		return true, 0, 0, nil
 	}
 
 	best, bestMask := w.selectNeeded()
@@ -466,78 +509,62 @@ func (w *searcher) lengthCaps(caps *[3]int) []int {
 	return caps[:]
 }
 
-// selectNeeded picks the branching observation. With pruning on it
-// defers to the refutation-guided order below; the NoPrune oracle keeps
-// the historical choice — the undefined observation with the fewest
-// legal decisions (smallest fan-out first keeps the table tree narrow),
-// ties broken by the deterministic ObsKey order. Duplicate
-// registrations are harmless under the min, and the defined-in-table
-// filter is defensive: registrations only ever happen for unknown
-// observations and incremental adoption drops entries the branch's new
-// binding resolved.
-func (w *searcher) selectNeeded() (ObsKey, uint8) {
-	if w.ts.prune != nil {
-		return w.selectNeededScored(w.ts.prune)
-	}
-	var best ObsKey
-	var bestMask uint8
-	bestOptions := 1 << 30
-	for i := range w.waiters {
-		e := &w.waiters[i]
-		if _, defined := w.table[e.obs]; defined {
-			continue
-		}
-		opts := bits.OnesCount8(e.legal)
-		if opts < bestOptions || (opts == bestOptions && e.obs.Less(best)) {
-			best = e.obs
-			bestMask = e.legal
-			bestOptions = opts
-		}
-	}
-	return best, bestMask
-}
-
-// selectNeededScored is the refutation-guided branching order: pick the
-// undefined observation with the highest score = waiting-state count +
-// pruneCreditWeight × refutation credit, ties broken by fewer legal
-// decisions, then ObsKey order. Binding the most-waited observation
-// constrains the most states at once — refuting subtrees surface before
-// the combinatorial bulk, which is worth orders of magnitude on the
-// deep drains ((4,9): 145 986 → 89 explored tables, with the
-// dominance probe and per-tier credits; prune.go). The credit term
-// steers later siblings toward observations whose bindings have already
-// refuted branches elsewhere in the tree. The argmax is total (score,
-// fan-out, key), so the choice is independent of waiter registration
-// order — which differs between incremental and full re-analysis.
-func (w *searcher) selectNeededScored(pr *pruneState) (ObsKey, uint8) {
+// selectNeeded picks the branching observation: the undefined
+// observation with the highest score, ties broken by fewer legal
+// decisions, then ObsKey order. With pruning on, the order is
+// refutation-guided: score = waiting-state count + pruneCreditWeight ×
+// refutation credit. Binding the most-waited observation constrains
+// the most states at once — refuting subtrees surface before the
+// combinatorial bulk, which is worth orders of magnitude on the deep
+// drains ((4,9): 145 986 → 89 explored tables, with the dominance probe
+// and per-tier credits; prune.go). The credit term steers later
+// siblings toward observations whose bindings have already refuted
+// branches elsewhere in the tree. The NoPrune oracle scores every
+// observation zero, which keeps the historical choice: fewest legal
+// decisions (smallest fan-out first keeps the table tree narrow), then
+// ObsKey order.
+//
+// The argmax is total (score, fan-out, key), so the choice is
+// independent of waiter registration order — which differs between
+// incremental and full re-analysis — and of the dense ids, which
+// depend on worker scheduling. One pass over the waiters counts each
+// distinct observation; the table and the credits are then consulted
+// once per distinct observation. The defined-in-table filter (by the
+// ids materialize stamped) is defensive: registrations only ever happen
+// for unknown observations and incremental adoption drops entries the
+// branch's new binding resolved.
+func (w *searcher) selectNeeded() (int32, uint8) {
+	w.aggEpoch++
 	w.agg = w.agg[:0]
 	for i := range w.waiters {
 		e := &w.waiters[i]
-		if _, defined := w.table[e.obs]; defined {
+		sl := w.slot(e.oid)
+		if sl.agg == w.aggEpoch {
+			w.agg[sl.at].count++
 			continue
 		}
-		found := false
-		for j := range w.agg {
-			if w.agg[j].obs == e.obs {
-				w.agg[j].count++
-				found = true
-				break
-			}
-		}
-		if !found {
-			w.agg = append(w.agg, obsAgg{obs: e.obs, count: 1, legal: e.legal})
-		}
+		sl.agg, sl.at = w.aggEpoch, int32(len(w.agg))
+		w.agg = append(w.agg, obsAgg{oid: e.oid, count: 1, legal: e.legal})
 	}
-	var best ObsKey
+	pr := w.ts.prune
+	var best int32
+	var bestKey ObsKey
 	var bestMask uint8
 	bestScore := int64(-1)
 	bestOpts := 1 << 30
 	for j := range w.agg {
 		a := &w.agg[j]
-		score := int64(a.count) + pruneCreditWeight*pr.creditOf(a.obs)
+		if w.obsSlots[a.oid].bound == w.tableEpoch {
+			continue
+		}
+		key := w.ts.obs.key(a.oid)
+		var score int64
+		if pr != nil {
+			score = int64(a.count) + pruneCreditWeight*pr.creditOf(key)
+		}
 		opts := bits.OnesCount8(a.legal)
-		if score > bestScore || (score == bestScore && (opts < bestOpts || (opts == bestOpts && a.obs.Less(best)))) {
-			best, bestMask, bestScore, bestOpts = a.obs, a.legal, score, opts
+		if score > bestScore || (score == bestScore && (opts < bestOpts || (opts == bestOpts && key.Less(bestKey)))) {
+			best, bestKey, bestMask, bestScore, bestOpts = a.oid, key, a.legal, score, opts
 		}
 	}
 	return best, bestMask
@@ -629,10 +656,10 @@ func (w *searcher) expand(id int32) (collision bool) {
 		if _, hasPending := st.pendingAt(oi.node); hasPending {
 			continue
 		}
-		d, known := w.table[oi.obs]
+		d, known := w.table[w.ts.obs.key(oi.oid)]
 		if !known {
 			unknowns = true
-			w.waiters = append(w.waiters, waiter{obs: oi.obs, id: id, legal: oi.legal})
+			w.waiters = append(w.waiters, waiter{oid: oi.oid, id: id, legal: oi.legal})
 			continue
 		}
 		if d == DStay {
@@ -675,7 +702,7 @@ func (w *searcher) expand(id int32) (collision bool) {
 	// the adversary's classic symmetry exploit (Lemma 7, Theorem 4, the
 	// B8 rotation of case (4,8)).
 	for _, g := range os.groups {
-		d, known := w.table[os.infos[g[0]].obs]
+		d, known := w.table[w.ts.obs.key(os.infos[g[0]].oid)]
 		if !known || d == DStay {
 			continue
 		}

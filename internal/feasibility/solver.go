@@ -191,7 +191,7 @@ func decisionsFromMask(mask uint8) []Decision {
 // obsInfo is one robot's cached observation in a configuration.
 type obsInfo struct {
 	node  int
-	obs   ObsKey
+	oid   int32 // dense observation id (obsCache.key)
 	loDir ring.Direction
 	legal uint8 // bitmask of legal decisions for this observation
 }
@@ -516,7 +516,7 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 			// analysis; per-branch outputs are identical either way (the
 			// incremental differential contract), so the tree below them
 			// — and TablesExplored — matches the uninterrupted run.
-			frontier, err := ck.rebuildFrontier()
+			frontier, err := ck.rebuildFrontier(s.obsCache)
 			if err != nil {
 				return res, nil, err
 			}

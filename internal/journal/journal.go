@@ -135,6 +135,9 @@ type Log struct {
 	size   int64
 	last   []byte // copy of the latest record's payload, nil when empty
 	failed error  // sticky failure; non-nil wraps ErrFailed
+	// unsynced reports a change to the file since its last successful
+	// fsync, so Sync can skip the fsync when there is none.
+	unsynced bool
 }
 
 // AppendRecord appends the encoded form of one record (header +
@@ -249,7 +252,8 @@ func OpenFS(fsys faultfs.FS, path string, policy SyncPolicy) (*Log, error) {
 	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
 		return fail(err)
 	}
-	l := &Log{path: path, fsys: fsys, f: f, lock: lock, policy: policy, n: len(recs), size: int64(valid)}
+	l := &Log{path: path, fsys: fsys, f: f, lock: lock, policy: policy, n: len(recs), size: int64(valid),
+		unsynced: valid < len(buf) && policy != SyncAlways}
 	if len(recs) > 0 {
 		l.last = append([]byte(nil), recs[len(recs)-1]...)
 	}
@@ -300,6 +304,7 @@ func (l *Log) Append(payload []byte) error {
 		return l.failed
 	}
 	rec := AppendRecord(make([]byte, 0, headerSize+len(payload)), payload)
+	l.unsynced = true
 	n, err := l.f.Write(rec)
 	if err == nil && n < len(rec) {
 		err = io.ErrShortWrite
@@ -325,6 +330,7 @@ func (l *Log) Append(payload []byte) error {
 			// persisting anything. Never retry on this fd.
 			return l.fail(fmt.Errorf("fsync after append: %w", err))
 		}
+		l.unsynced = false
 	}
 	l.n++
 	l.size += int64(len(rec))
@@ -333,15 +339,20 @@ func (l *Log) Append(payload []byte) error {
 }
 
 // Sync flushes pending appends to stable storage regardless of policy.
-// A Sync failure is sticky (see Append): the log refuses further use
-// until reopened.
+// It issues no fsync when nothing changed since the last one (under
+// SyncAlways, after any successful Append or Compact). A Sync failure
+// is sticky (see Append): the log refuses further use until reopened.
 func (l *Log) Sync() error {
 	if l.failed != nil {
 		return l.failed
 	}
+	if !l.unsynced {
+		return nil
+	}
 	if err := l.f.Sync(); err != nil {
 		return l.fail(fmt.Errorf("fsync: %w", err))
 	}
+	l.unsynced = false
 	return nil
 }
 
@@ -449,6 +460,7 @@ func (l *Log) Compact(keep [][]byte) error {
 	l.f = f
 	l.n = len(keep)
 	l.size = size
+	l.unsynced = false
 	if len(keep) > 0 {
 		l.last = append(l.last[:0], keep[len(keep)-1]...)
 	} else {

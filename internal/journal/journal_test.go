@@ -207,3 +207,53 @@ func TestCompactKeepsLatestAtomically(t *testing.T) {
 		t.Errorf("leftover temp files: %v", matches)
 	}
 }
+
+// TestSyncSkipsWhenNothingPending: Sync fsyncs only when an append or
+// a torn-tail truncation is not yet on stable storage. SyncAlways
+// appends and Compact leave nothing pending.
+func TestSyncSkipsWhenNothingPending(t *testing.T) {
+	for _, tc := range []struct {
+		policy SyncPolicy
+		want   int // fsyncs issued by Append+Sync+Sync
+	}{
+		{SyncAlways, 1},
+		{SyncNone, 1},
+	} {
+		in := faultfs.NewInjector(faultfs.OS{}, 1)
+		l, err := OpenFS(in, filepath.Join(t.TempDir(), "j.log"), tc.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := in.Count(faultfs.OpSync); got != 0 {
+			t.Errorf("policy %d: Sync of a fresh log issued %d fsyncs", tc.policy, got)
+		}
+		if err := l.Append([]byte("r")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := in.Count(faultfs.OpSync); got != tc.want {
+			t.Errorf("policy %d: Append+Sync+Sync issued %d fsyncs, want %d", tc.policy, got, tc.want)
+		}
+		if err := l.Append([]byte("s")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Compact([][]byte{[]byte("s")}); err != nil {
+			t.Fatal(err)
+		}
+		before := in.Count(faultfs.OpSync)
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := in.Count(faultfs.OpSync) - before; got != 0 {
+			t.Errorf("policy %d: Sync after Compact issued %d fsyncs", tc.policy, got)
+		}
+		l.Close()
+	}
+}

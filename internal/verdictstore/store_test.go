@@ -436,3 +436,43 @@ func FuzzStoreRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestPutVerdictFsyncsOnce: under either append policy a verdict is on
+// stable storage when PutVerdict returns, and it costs exactly one
+// fsync — the append's own under SyncAlways, the explicit Sync of the
+// pending appends (an unsynced checkpoint and the verdict) under
+// SyncNone. A crash that drops every unsynced write keeps the verdict.
+func TestPutVerdictFsyncsOnce(t *testing.T) {
+	key := feasibility.Instance{N: 7, K: 3}.Normalized().Key()
+	for _, policy := range []journal.SyncPolicy{journal.SyncAlways, journal.SyncNone} {
+		in := faultfs.NewInjector(faultfs.OS{}, 1)
+		path := filepath.Join(t.TempDir(), "store.journal")
+		st, err := OpenFS(in, path, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutCheckpoint(key, []byte("checkpoint")); err != nil {
+			t.Fatal(err)
+		}
+		before := in.Count(faultfs.OpSync)
+		v := Verdict{Impossible: true, Tier: 2, TablesExplored: 9, ExpansionUnits: 123}
+		if err := st.PutVerdict(key, v); err != nil {
+			t.Fatal(err)
+		}
+		if got := in.Count(faultfs.OpSync) - before; got != 1 {
+			t.Errorf("policy %d: PutVerdict issued %d fsyncs, want 1", policy, got)
+		}
+		st.Close()
+		if err := in.CrashUnsynced(); err != nil {
+			t.Fatal(err)
+		}
+		st, err = OpenFS(faultfs.OS{}, path, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := st.Verdict(key); !ok || got.TablesExplored != v.TablesExplored {
+			t.Errorf("policy %d: verdict after crash = %+v, %v", policy, got, ok)
+		}
+		st.Close()
+	}
+}
