@@ -8,6 +8,13 @@
 // store is keyed by instance, so one journal can hold drains of several
 // instances, and `serve -store` serves a drained journal as-is.
 //
+// Periodic checkpoints are journaled behind the search (Store.Drain): a
+// checkpoint is encoded while the solver is quiesced and written while
+// it runs on. Every periodic checkpoint except the newest is durable;
+// the verdict and a suspension checkpoint are durable before the
+// command exits; and a storage failure stops the solve at the next
+// checkpoint barrier.
+//
 // Usage:
 //
 //	go run ./cmd/drain -n 9 -k 5 -journal drain95.log -budget 5000000

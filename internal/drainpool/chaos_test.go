@@ -8,8 +8,12 @@ package drainpool
 
 import (
 	"context"
+	"errors"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -160,4 +164,76 @@ func TestWorkerResultNotLostToTransientError(t *testing.T) {
 	if !sawDone {
 		t.Fatal("no ShardDone record after retried append")
 	}
+}
+
+// poolJournalFS sends the pool journal and its compaction temp files
+// through in, and everything else (the shard journals) to the OS, so
+// the injector counts pool-journal operations only.
+type poolJournalFS struct {
+	faultfs.OS
+	in *faultfs.Injector
+}
+
+func (p poolJournalFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	if filepath.Base(name) == "pool.journal" {
+		return p.in.OpenFile(name, flag, perm)
+	}
+	return p.OS.OpenFile(name, flag, perm)
+}
+
+func (p poolJournalFS) CreateTemp(dir, pattern string) (faultfs.File, error) {
+	if strings.HasPrefix(pattern, "pool.journal") {
+		return p.in.CreateTemp(dir, pattern)
+	}
+	return p.OS.CreateTemp(dir, pattern)
+}
+
+// TestPoolJournalSyncFailure: an EIO on a pool-journal fsync while a
+// worker runs makes Run return the error (killing the worker) instead
+// of hanging, and a rerun over the same directory on the real
+// filesystem reaches the single-process verdict.
+func TestPoolJournalSyncFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess drain pool in -short mode")
+	}
+	inst := feasibility.Instance{N: 8, K: 5}
+	want := oracleVerdict(t, inst)
+	dir := t.TempDir()
+	plan := &launchPlan{}
+	cfg := testConfig(dir, inst, plan)
+	launched := 0
+	cfg.Launch = func(spec WorkerSpec) *exec.Cmd {
+		launched++
+		return plan.launch(spec)
+	}
+	in := faultfs.NewInjector(faultfs.OS{}, 1)
+	cfg.FS = poolJournalFS{in: in}
+	// Pool-journal fsyncs: the first generation's partition record
+	// (compaction), then one lease per launched shard. The third fails
+	// the second shard's lease while the first shard's worker runs.
+	in.FailNth(faultfs.OpSync, 3, faultfs.EIO())
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), cfg)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, syscall.EIO) {
+			t.Fatalf("Run over a failing pool journal: err=%v, want EIO", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Run hung after a pool-journal fsync failure")
+	}
+	if launched == 0 {
+		t.Fatal("no worker was running when the pool journal failed")
+	}
+
+	cfg.FS = nil
+	got, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("rerun on the OS filesystem: %v", err)
+	}
+	checkAgainstOracle(t, got, want)
 }

@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"ringrobots/internal/faultfs"
 	"ringrobots/internal/feasibility"
 	"ringrobots/internal/journal"
 )
@@ -101,6 +102,10 @@ type Config struct {
 	Launch func(WorkerSpec) *exec.Cmd
 	// Logf receives progress lines (nil: silent).
 	Logf func(format string, args ...any)
+	// FS is the filesystem seam the pool journal and the shard-journal
+	// seeding go through; nil means the real OS. Testing and storage
+	// fault injection only.
+	FS faultfs.FS
 }
 
 func (cfg Config) withDefaults() Config {
@@ -133,6 +138,9 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
+	}
+	if cfg.FS == nil {
+		cfg.FS = faultfs.OS{}
 	}
 	return cfg
 }
@@ -178,7 +186,7 @@ func Run(ctx context.Context, cfg Config) (feasibility.Result, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return feasibility.Result{}, err
 	}
-	plog, err := journal.Open(poolJournalPath(cfg.Dir), journal.SyncAlways)
+	plog, err := journal.OpenFS(cfg.FS, poolJournalPath(cfg.Dir), journal.SyncAlways)
 	if err != nil {
 		var le *journal.LockedError
 		if errors.As(err, &le) {
@@ -621,7 +629,7 @@ func (c *coordinator) startShard(parts []*feasibility.Checkpoint, shard int) (*w
 // it rather than hand workers an unrunnable shard. Progress a previous
 // attempt journaled (later checkpoints, even a result) is preserved.
 func (c *coordinator) seedShardJournal(path string, ck *feasibility.Checkpoint, shard int) error {
-	log, err := journal.Open(path, journal.SyncAlways)
+	log, err := journal.OpenFS(c.cfg.FS, path, journal.SyncAlways)
 	if err != nil {
 		if errors.Is(err, journal.ErrLocked) {
 			return nil // a live worker owns it; it is necessarily seeded

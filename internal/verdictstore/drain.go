@@ -17,15 +17,27 @@ var ErrStorage = errors.New("verdictstore: storage failure")
 // Drain runs sol on inst as a journaled drain under key (inst.Key()).
 // It resumes the stored checkpoint when one decodes and matches inst,
 // else logs why and starts from the root. With sol.CheckpointEvery > 0
-// every periodic checkpoint is journaled. A verdict is journaled
-// (fsynced); a budget or cancel suspension journals its checkpoint and
-// returns it, like Solver.Resume. After every journaled record the store
-// compacts once past compactAbove records (see CompactIfAbove); a failed
-// compaction is logged, since the append-only log is already correct,
-// and returned only when the journal has failed for good
-// (journal.ErrFailed). Every storage failure returned matches
-// ErrStorage. resumed reports whether the run continued a stored
-// checkpoint.
+// every periodic checkpoint is captured and encoded at the solver's
+// quiesce barrier, then journaled (with PutCheckpoint and compaction)
+// by a single writer while the search runs on; the next barrier waits
+// for that write first, so the journal receives every checkpoint, in
+// order. The durability contract is therefore:
+//   - every periodic checkpoint except the newest is durable (under the
+//     store's sync policy) while the solve runs;
+//   - the verdict, and a budget or cancel suspension's checkpoint, are
+//     journaled after the last periodic write completes and are durable
+//     before Drain returns (the suspension checkpoint is also returned,
+//     like Solver.Resume);
+//   - a storage failure stops the solve at the next checkpoint barrier
+//     (or, if the solve ends first, before its verdict or suspension is
+//     journaled).
+//
+// After every journaled record the store compacts once past
+// compactAbove records (see CompactIfAbove); a failed compaction is
+// logged, since the append-only log is already correct, and returned
+// only when the journal has failed for good (journal.ErrFailed). Every
+// storage failure returned matches ErrStorage. resumed reports whether
+// the run continued a stored checkpoint.
 func (st *Store) Drain(ctx context.Context, key string, inst feasibility.Instance, sol *feasibility.Solver,
 	compactAbove int, log *slog.Logger) (res feasibility.Result, cp *feasibility.Checkpoint, resumed bool, err error) {
 	compact := func() error {
@@ -39,18 +51,38 @@ func (st *Store) Drain(ctx context.Context, key string, inst feasibility.Instanc
 		}
 		return nil
 	}
-	journalCheckpoint := func(cp *feasibility.Checkpoint) error {
-		raw, err := cp.MarshalBinary()
-		if err != nil {
-			return err // an encoding failure is a software bug, not storage
-		}
+	put := func(raw []byte) error {
 		if err := st.PutCheckpoint(key, raw); err != nil {
 			return fmt.Errorf("%w: journaling checkpoint: %w", ErrStorage, err)
 		}
 		return compact()
 	}
+	// written carries the outcome of the one checkpoint write in flight
+	// (nil when none is). Barriers run one at a time under the solver's
+	// queue lock, and Drain reads it only after the solve returns.
+	var written chan error
+	wait := func() error {
+		if written == nil {
+			return nil
+		}
+		err := <-written
+		written = nil
+		return err
+	}
 	if sol.CheckpointEvery > 0 {
-		sol.OnCheckpoint = journalCheckpoint
+		sol.OnCheckpoint = func(cp *feasibility.Checkpoint) error {
+			raw, err := cp.MarshalBinary()
+			if err != nil {
+				return err // an encoding failure is a software bug, not storage
+			}
+			if err := wait(); err != nil {
+				return err
+			}
+			done := make(chan error, 1)
+			go func() { done <- put(raw) }()
+			written = done
+			return nil
+		}
 	}
 
 	var from *feasibility.Checkpoint
@@ -76,6 +108,9 @@ func (st *Store) Drain(ctx context.Context, key string, inst feasibility.Instanc
 		res, cp, err = sol.SolveContext(ctx)
 	}
 	resumed = from != nil
+	if werr := wait(); werr != nil {
+		return res, nil, resumed, werr
+	}
 
 	switch {
 	case err == nil:
@@ -86,8 +121,12 @@ func (st *Store) Drain(ctx context.Context, key string, inst feasibility.Instanc
 	case cp != nil:
 		// Journal the exact suspension point, not the last periodic
 		// checkpoint, so the next run resumes where this one stopped.
-		if perr := journalCheckpoint(cp); perr != nil {
-			return res, nil, resumed, fmt.Errorf("suspension checkpoint: %w", perr)
+		raw, merr := cp.MarshalBinary()
+		if merr == nil {
+			merr = put(raw)
+		}
+		if merr != nil {
+			return res, nil, resumed, fmt.Errorf("suspension checkpoint: %w", merr)
 		}
 	}
 	return res, cp, resumed, err

@@ -212,9 +212,71 @@ func TestDrainStartsFreshOnMismatchedCheckpoint(t *testing.T) {
 	}
 }
 
+// TestDrainJournalsSolverCheckpoints: journaling periodic checkpoints
+// behind the search changes neither which checkpoints are journaled
+// nor their order. A single-worker drain's journal holds exactly the
+// checkpoint bodies a plain Solver hands its OnCheckpoint, followed by
+// the verdict.
+func TestDrainJournalsSolverCheckpoints(t *testing.T) {
+	inst := feasibility.Instance{N: 9, K: 5}.Normalized()
+	const every = 8
+	plain := inst.Solver()
+	plain.Workers = 1
+	plain.CheckpointEvery = every
+	var want [][]byte
+	plain.OnCheckpoint = func(cp *feasibility.Checkpoint) error {
+		raw, err := cp.MarshalBinary()
+		want = append(want, raw)
+		return err
+	}
+	if _, _, err := plain.SolveContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "store.journal")
+	st, err := OpenFS(faultfs.OS{}, path, journal.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol := inst.Solver()
+	sol.Workers = 1
+	sol.CheckpointEvery = every
+	if _, cp, _, err := st.Drain(context.Background(), inst.Key(), inst, sol, 0, quietLogger()); err != nil || cp != nil {
+		t.Fatalf("drain: cp=%v err=%v", cp != nil, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := readFile(t, path)
+	recs, valid := journal.Scan(raw)
+	if valid != len(raw) {
+		t.Fatal("the drained journal has a torn tail")
+	}
+	if len(recs) != len(want)+1 {
+		t.Fatalf("journal holds %d records, want %d checkpoints and a verdict", len(recs), len(want))
+	}
+	for i, rec := range recs {
+		typ, key, body, err := decodeRecordHeader(rec)
+		if err != nil || key != inst.Key() {
+			t.Fatalf("record %d: key matches=%v err=%v", i, key == inst.Key(), err)
+		}
+		if i == len(want) {
+			if typ != recVerdict {
+				t.Fatalf("last record has type %q, want the verdict", typ)
+			}
+			break
+		}
+		if typ != recCheckpoint || !bytes.Equal(body, want[i]) {
+			t.Fatalf("record %d (type %q) is not the solver's checkpoint %d", i, typ, i)
+		}
+	}
+}
+
 // TestDrainStorageFailures: journal faults surface as ErrStorage with
 // no checkpoint, whether a periodic checkpoint, the verdict's fsync or
-// a suspension checkpoint fails.
+// a suspension checkpoint fails. A failed periodic write stops the
+// solve no later than the barrier after it (at most (nth+1)·every
+// branches) and leaves no verdict behind.
 func TestDrainStorageFailures(t *testing.T) {
 	inst := feasibility.Instance{N: 8, K: 5}.Normalized()
 	for _, tc := range []struct {
@@ -222,29 +284,112 @@ func TestDrainStorageFailures(t *testing.T) {
 		every  int
 		budget int
 		op     faultfs.Op
+		nth    int // the failing op is the nth of its kind after open
+		policy journal.SyncPolicy
 	}{
-		{"periodic checkpoint", 4, 0, faultfs.OpWrite},
-		{"verdict fsync", 0, 0, faultfs.OpSync},
-		{"suspension checkpoint", 0, 200, faultfs.OpWrite},
+		{"periodic checkpoint", 4, 0, faultfs.OpWrite, 1, journal.SyncNone},
+		{"verdict fsync", 0, 0, faultfs.OpSync, 1, journal.SyncNone},
+		{"suspension checkpoint", 0, 200, faultfs.OpWrite, 1, journal.SyncNone},
+		{"1st checkpoint fsync", 4, 0, faultfs.OpSync, 1, journal.SyncAlways},
+		{"3rd checkpoint fsync", 4, 0, faultfs.OpSync, 3, journal.SyncAlways},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := faultfs.NewInjector(faultfs.OS{}, 1)
-			st, err := OpenFS(in, filepath.Join(t.TempDir(), "store.journal"), journal.SyncNone)
+			path := filepath.Join(t.TempDir(), "store.journal")
+			st, err := OpenFS(in, path, tc.policy)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer st.Close()
-			in.FailNth(tc.op, in.Count(tc.op)+1, faultfs.EIO())
+			in.FailNth(tc.op, in.Count(tc.op)+tc.nth, faultfs.EIO())
 			sol := inst.Solver()
 			sol.Workers = 1
 			sol.CheckpointEvery = tc.every
 			if tc.budget > 0 {
 				sol.MaxExpansions = tc.budget
 			}
+			var branches int64
+			sol.BranchHook = func(int64) { branches++ }
 			_, cp, _, err := st.Drain(context.Background(), inst.Key(), inst, sol, 0, quietLogger())
+			st.Close()
 			if cp != nil || !errors.Is(err, ErrStorage) {
 				t.Fatalf("cp=%v err=%v, want an ErrStorage failure", cp != nil, err)
 			}
+			if tc.every == 0 {
+				return
+			}
+			if limit := int64(tc.nth+1) * int64(tc.every); branches > limit {
+				t.Fatalf("the drain ran %d branches after checkpoint write %d failed, want at most %d", branches, tc.nth, limit)
+			}
+			reopened, err := OpenFS(faultfs.OS{}, path, journal.SyncNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			if _, ok := reopened.Verdict(inst.Key()); ok {
+				t.Fatal("a drain whose checkpoint write failed journaled its verdict")
+			}
 		})
+	}
+}
+
+// TestDrainCrashMidDrain: a crash while checkpoints are being journaled
+// behind the search loses at most the newest one. The crash drops
+// every unsynced byte and kills the disk, so nothing the drain does
+// afterwards lands; the reopened store resumes the newest durable
+// checkpoint and reaches the uninterrupted verdict and TablesExplored.
+func TestDrainCrashMidDrain(t *testing.T) {
+	inst := feasibility.Instance{N: 8, K: 5}.Normalized()
+	const every, crashAt = 4, 4*5 + 2
+	in := faultfs.NewInjector(faultfs.OS{}, 1)
+	path := filepath.Join(t.TempDir(), "store.journal")
+	st, err := OpenFS(in, path, journal.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol := inst.Solver()
+	sol.Workers = 1
+	sol.CheckpointEvery = every
+	sol.BranchHook = func(done int64) {
+		if done != crashAt {
+			return
+		}
+		// Holding the store lock keeps the crash between appends: the
+		// injector models an append-only disk, not a write torn by a
+		// concurrent truncate.
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if err := in.CrashUnsynced(); err != nil {
+			t.Error(err)
+		}
+		for _, op := range []faultfs.Op{faultfs.OpWrite, faultfs.OpSync, faultfs.OpTruncate} {
+			for i := 1; i <= 8; i++ {
+				in.FailNth(op, in.Count(op)+i, faultfs.EIO())
+			}
+		}
+	}
+	if _, _, _, err := st.Drain(context.Background(), inst.Key(), inst, sol, 0, quietLogger()); !errors.Is(err, ErrStorage) {
+		t.Fatalf("drain on a dead disk: err=%v, want ErrStorage", err)
+	}
+	st.Close()
+
+	reopened, err := OpenFS(faultfs.OS{}, path, journal.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if _, live, records, _ := reopened.Counts(); live != 1 || records < crashAt/every-1 {
+		t.Fatalf("the crashed journal holds %d records (%d live checkpoints), want every checkpoint but the newest of %d",
+			records, live, crashAt/every)
+	}
+	sol = inst.Solver()
+	sol.Workers = 1
+	sol.CheckpointEvery = every
+	res, cp, resumed, err := reopened.Drain(context.Background(), inst.Key(), inst, sol, 0, quietLogger())
+	if err != nil || cp != nil || !resumed {
+		t.Fatalf("drain after the crash: resumed=%v cp=%v err=%v", resumed, cp != nil, err)
+	}
+	if direct := solveDirect(t, inst); res.Impossible != direct.Impossible || res.Tier != direct.Tier ||
+		res.TablesExplored != direct.TablesExplored {
+		t.Fatalf("drain after the crash = %+v, uninterrupted %+v", res, direct)
 	}
 }
