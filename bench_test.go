@@ -195,8 +195,11 @@ func BenchmarkImpossibility(b *testing.B) {
 // incremental=off and prune=off rows keep the respective differential
 // oracles' cost on record, quantifying the sibling-branch reuse and
 // tree-level pruning wins over time. n=11/k=6 is the instance the
-// end-to-end drain-single workload drains: 11,000 tables, dominated by
-// branch selection over large waiter registries.
+// end-to-end drain-single workload drains: 11,000 tables. With table
+// lookups and credits read by observation id, its CPU profile (2-CPU
+// container) is the per-branch analysis: the lasso hunt takes about
+// 28%, Tarjan and the contamination replay 19%, branch selection 14%,
+// and the nogood memo's per-branch hashes and probes 13%.
 func BenchmarkFeasibilitySolve(b *testing.B) {
 	for _, tc := range []struct {
 		n, k          int

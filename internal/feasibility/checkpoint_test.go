@@ -3,6 +3,8 @@ package feasibility
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"time"
@@ -361,5 +363,68 @@ func TestResumeValidation(t *testing.T) {
 	}
 	if _, uerr := UnmarshalCheckpoint([]byte("XXCP")); uerr == nil {
 		t.Errorf("bad magic decoded without error")
+	}
+}
+
+// TestCheckpointBytesPinned pins the SHA-256 of the concatenated
+// checkpoint byte streams of single-worker drains: every periodic
+// OnCheckpoint body in order, and for the budget chain also each
+// suspension checkpoint, whose legs resume from the decoded bytes and
+// so carry imported credits and nogoods into their own exports. The
+// digests were recorded before the search read its table and credits
+// by observation id; how the searcher stores those must not change a
+// byte of what it journals.
+func TestCheckpointBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		n, k, every  int
+		budget       int
+		wantSuspends int
+		want         string
+	}{
+		{"8,5/every=4", 8, 5, 4, 0, 0, "6cb8bdba065a23944982fb868f8c0f6c1ba994ee0ca0f9bed012d32e745d4c43"},
+		{"9,5/every=8", 9, 5, 8, 0, 0, "eaf355df6366b375cf0d8da4c508bf933a3b55e4463c95c2082e7a4afb4ec6e4"},
+		{"9,5/budget=5000/every=16", 9, 5, 16, 5000, 13, "2ad2cefdfb6c854015a604f7ea7303e497013a32835999f69fdf33bf969e036e"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := sha256.New()
+			mk := func() *Solver {
+				s := NewSolver(tc.n, tc.k)
+				s.Workers = 1
+				if tc.budget > 0 {
+					s.MaxExpansions = tc.budget
+				}
+				s.CheckpointEvery = tc.every
+				s.OnCheckpoint = func(cp *Checkpoint) error {
+					raw, err := cp.MarshalBinary()
+					h.Write(raw)
+					return err
+				}
+				return s
+			}
+			res, cp, err := mk().SolveContext(context.Background())
+			suspends := 0
+			for errors.Is(err, ErrBudget) && cp != nil && suspends < 100 {
+				raw, merr := cp.MarshalBinary()
+				if merr != nil {
+					t.Fatal(merr)
+				}
+				h.Write(raw)
+				restored, uerr := UnmarshalCheckpoint(raw)
+				if uerr != nil {
+					t.Fatal(uerr)
+				}
+				suspends++
+				res, cp, err = mk().Resume(context.Background(), restored)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			t.Logf("%s: %d suspensions, %d tables, digest %s", tc.name, suspends, res.TablesExplored, got)
+			if suspends != tc.wantSuspends || got != tc.want {
+				t.Errorf("checkpoint stream: %d suspensions, sha256 %s; pinned %d, %s", suspends, got, tc.wantSuspends, tc.want)
+			}
+		})
 	}
 }

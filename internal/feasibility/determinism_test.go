@@ -25,9 +25,21 @@ func survivorHolds(s *Solver, tier int, tab Table) bool {
 		queue:         newWorkQueue(),
 	}
 	w := newSearcher(ts)
-	w.table = tab
+	bindTable(w, tab)
 	win, _, legal, err := w.analyze()
 	return err == nil && !win && legal == 0
+}
+
+// bindTable makes tab the searcher's current table: it numbers tab's
+// observations in the searcher's obsCache, chains the bindings in
+// arbitrary order and materializes the chain, which it returns.
+func bindTable(w *searcher, tab Table) *tableNode {
+	nd := &tableNode{}
+	for o, d := range tab {
+		nd = &tableNode{parent: nd, oid: w.ts.obs.idOf(o), d: d}
+	}
+	w.materialize(nd)
+	return nd
 }
 
 func solveWorkers(t *testing.T, n, k, workers int) Result {

@@ -99,7 +99,7 @@ func (w *searcher) publishSnap(children int) *branchSnap {
 // snapshot: same contract, same outputs, but expansion work
 // proportional to the frontier the branch's one new table entry
 // unlocks. nd.oid is that entry's observation; the decision is already
-// materialized in w.table.
+// materialized in the searcher's table view.
 func (w *searcher) analyzeIncremental(nd *tableNode) (win bool, needed int32, legal uint8, err error) {
 	snap := nd.snap
 	inherited := int32(len(snap.states))

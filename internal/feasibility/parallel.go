@@ -17,7 +17,7 @@ import (
 // persistent chain: a branch's table is the path from its node to the
 // root. Sibling branches share their common prefix, so enqueueing a
 // branch costs one small allocation instead of a map clone; workers
-// materialize the chain into scratch once per analyze
+// materialize the chain into their per-id table view once per analyze
 // (searcher.materialize).
 type tableNode struct {
 	parent *tableNode // nil only for the root (empty table)
@@ -216,11 +216,12 @@ type obsChunk [1 << obsChunkBits]ObsKey
 //
 // The cache also gives every observation a dense id, assigned when an
 // obsSet is built on a miss (or when a checkpoint names one). The
-// search carries ids in waiters, obsSets and table chains, so equality
-// is an int32 compare; the ObsKey is fetched by id only where a key is
-// needed (table lookups, credits, tie-breaks, checkpoints). Ids depend
-// on which worker built which obsSet first, so nothing may order by
-// them: every ordering decision goes through ObsKey.Less.
+// search carries ids in waiters, obsSets and table chains, and indexes
+// the branch's table view (searcher.decision) and the refutation
+// credits by id, so neither needs a key. The ObsKey is fetched by id
+// only for tie-breaks, nogood hashes and checkpoints. Ids depend on
+// which worker built which obsSet first, so nothing may order by them:
+// every ordering decision goes through ObsKey.Less.
 type obsCache struct {
 	n      int
 	shards [obsCacheShards]struct {

@@ -105,10 +105,10 @@ type pruneEntry struct {
 	d   Decision
 }
 
-// nogoodRec is one refuted subtable: its bindings, the pending limit it
-// was refuted under (valid at any limit ≥ that one — a stronger
-// adversary keeps every win), and the chain link to the previous record
-// sharing its anchor hash.
+// nogoodRec is one refuted subtable: its bindings and their observation
+// ids, the pending limit it was refuted under (valid at any limit ≥ that
+// one — a stronger adversary keeps every win), and the chain link to the
+// previous record sharing its anchor hash.
 type nogoodRec struct {
 	limit int32
 	next  int32 // chain of same-anchor records, -1 at the end
@@ -123,17 +123,27 @@ type nogoodRec struct {
 	// here; the differing entry's hash is absent from the candidate, so
 	// the merge-walk rejects them for free. entries back the exact
 	// verification that guards against hash collisions (a false prune
-	// must be impossible, not just unlikely).
+	// must be impossible, not just unlikely), which reads the searcher's
+	// dense table view through ids (ids[i] is entries[i].obs's id).
 	hashes  []uint64
 	entries []pruneEntry
+	ids     []int32
 }
+
+// creditChunk is one block of the per-id credit directory.
+type creditChunk [1 << obsChunkBits]atomic.Int64
 
 // pruneState is the pruning state shared by all workers and all tiers
 // of one Solve: the per-observation refutation credits read by
-// selectNeeded, and the sharded nogood store. Both sides shard by
-// observation hash to keep contention negligible under the worker
-// pool; racing lookups that miss a just-recorded entry are benign (a
-// missed prune is just an analyzed branch).
+// selectNeeded, and the sharded nogood store. Racing lookups that miss
+// a just-recorded entry are benign (a missed prune is just an analyzed
+// branch).
+//
+// Credits are counters indexed by observation id, in a directory of
+// fixed-size chunks laid out like obsCache.keys: a chunk is added under
+// creditMu and the directory republished whole, so reads and
+// increments take no lock. Credits restored from a checkpoint, which
+// names observations only by obsHash, sit beside them in imported.
 //
 // The nogood index is keyed by the 64-bit anchor hash, not the entry
 // struct: ObsKey holds CanonKeys with a string fallback, and hashing
@@ -142,10 +152,16 @@ type nogoodRec struct {
 // subset test then fails against the actual table — never a false
 // prune.
 type pruneState struct {
-	credit [pruneShards]struct {
-		mu sync.RWMutex
-		m  map[uint64]int64
-	}
+	// obs numbers the solve's observations: ids index credits and
+	// nogood entries, and keys give them back for checkpoints.
+	obs *obsCache
+
+	creditMu sync.Mutex
+	credits  atomic.Pointer[[]*creditChunk]
+	// imported maps obsHash → credit restored by importState. It is
+	// written only while no worker runs (import, tier reset).
+	imported map[uint64]int64
+
 	// recorded counts stored nogoods (approximately — shard clears do
 	// not subtract): the zero fast-path lets solves that never record a
 	// nogood skip all lookup work.
@@ -157,11 +173,13 @@ type pruneState struct {
 	}
 }
 
-// newPruneState allocates only the shard skeleton; the shard maps are
-// created on first write (reads of a nil map are well-defined misses),
-// so small solves never pay for 2×64 map allocations.
-func newPruneState() *pruneState {
-	return &pruneState{}
+// newPruneState allocates only the skeleton; the nogood shard maps and
+// credit chunks are created on first write, so small solves never pay
+// for them. oc must number every id the state is given.
+func newPruneState(oc *obsCache) *pruneState {
+	pr := &pruneState{obs: oc}
+	pr.credits.Store(new([]*creditChunk))
+	return pr
 }
 
 // obsHash mixes an observation key into 64 bits (word-level, no string
@@ -197,16 +215,16 @@ func sigInsertHash(sig uint64, hashes []uint64, h uint64) (uint64, []uint64) {
 	return sig, hashes
 }
 
-// tableSigAndAnchors folds a table's entries into the membership bloom
-// the nogood quick-reject compares against and collects the per-entry
-// hashes in ascending order (into the caller's scratch) — the anchors
-// probed and the merge-walk side of the subset test, one map iteration
-// serving every child of the branch.
-func tableSigAndAnchors(t Table, scratch []uint64) (uint64, []uint64) {
+// tableSigAndAnchors folds the entries of nd's table chain into the
+// membership bloom the nogood quick-reject compares against and collects
+// the per-entry hashes in ascending order (into the caller's scratch) —
+// the anchors probed and the merge-walk side of the subset test, one
+// chain walk serving every child of the branch.
+func tableSigAndAnchors(nd *tableNode, oc *obsCache, scratch []uint64) (uint64, []uint64) {
 	var sig uint64
 	scratch = scratch[:0]
-	for o, d := range t {
-		sig, scratch = sigInsertHash(sig, scratch, entryHash(pruneEntry{obs: o, d: d}))
+	for ; nd != nil && nd.parent != nil; nd = nd.parent {
+		sig, scratch = sigInsertHash(sig, scratch, entryHash(pruneEntry{obs: oc.key(nd.oid), d: nd.d}))
 	}
 	return sig, scratch
 }
@@ -232,46 +250,56 @@ func hashesCover(need, have []uint64, extra uint64) bool {
 	return true
 }
 
-// creditOf reads an observation's accumulated refutation credit.
-// Credits are keyed by observation hash: a chance collision merges two
-// observations' credits, which at worst nudges the (heuristic, freely
-// choosable) branching order — determinism is unaffected, the hash is a
-// pure function.
-func (pr *pruneState) creditOf(o ObsKey) int64 {
-	h := obsHash(o)
-	sh := &pr.credit[h%pruneShards]
-	sh.mu.RLock()
-	c := sh.m[h]
-	sh.mu.RUnlock()
+// creditOf reads the accumulated refutation credit of observation oid:
+// its own counter plus whatever a checkpoint restored for its obsHash.
+// Checkpoints sum credits per hash, so a chance obsHash collision merges
+// two observations' credits across a resume, which at worst nudges the
+// (heuristic, freely choosable) branching order; the result is still a
+// pure function of the checkpoint.
+func (pr *pruneState) creditOf(oid int32) int64 {
+	var c int64
+	if dir := *pr.credits.Load(); int(oid>>obsChunkBits) < len(dir) {
+		c = dir[oid>>obsChunkBits][oid&(1<<obsChunkBits-1)].Load()
+	}
+	if pr.imported != nil {
+		c += pr.imported[obsHash(pr.obs.key(oid))]
+	}
 	return c
 }
 
-// resetCredits clears every credit shard (tier boundary, when credits
-// are scoped per tier).
+// resetCredits drops every credit (tier boundary, when credits are
+// scoped per tier). Only called while no worker runs.
 func (pr *pruneState) resetCredits() {
-	for i := range pr.credit {
-		sh := &pr.credit[i]
-		sh.mu.Lock()
-		clear(sh.m)
-		sh.mu.Unlock()
-	}
+	pr.imported = nil
+	pr.credits.Store(new([]*creditChunk))
 }
 
-// addCredit records one refuted branch bound at o.
-func (pr *pruneState) addCredit(o ObsKey) {
-	h := obsHash(o)
-	sh := &pr.credit[h%pruneShards]
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[uint64]int64)
+// addCredit records one refuted branch bound at observation oid.
+func (pr *pruneState) addCredit(oid int32) {
+	dir := *pr.credits.Load()
+	if int(oid>>obsChunkBits) >= len(dir) {
+		dir = pr.growCredits(oid)
 	}
-	sh.m[h]++
-	sh.mu.Unlock()
+	dir[oid>>obsChunkBits][oid&(1<<obsChunkBits-1)].Add(1)
+}
+
+// growCredits adds chunks until the directory covers oid and
+// republishes it.
+func (pr *pruneState) growCredits(oid int32) []*creditChunk {
+	pr.creditMu.Lock()
+	defer pr.creditMu.Unlock()
+	dir := *pr.credits.Load()
+	for int(oid>>obsChunkBits) >= len(dir) {
+		dir = append(dir[:len(dir):len(dir)], new(creditChunk))
+	}
+	pr.credits.Store(&dir)
+	return dir
 }
 
 // recordNogood stores a refuted subtable. entries must be sorted by
-// observation key; the slice is retained.
-func (pr *pruneState) recordNogood(limit int, entries []pruneEntry) {
+// observation key and ids must hold their observation ids; both slices
+// are retained.
+func (pr *pruneState) recordNogood(limit int, entries []pruneEntry, ids []int32) {
 	if len(entries) == 0 || len(entries) > nogoodMaxEntries {
 		return
 	}
@@ -310,36 +338,35 @@ func (pr *pruneState) recordNogood(limit int, entries []pruneEntry) {
 		sig, hashes = sigInsertHash(sig, hashes, entryHash(e))
 	}
 	sh.head[h] = int32(len(sh.recs))
-	sh.recs = append(sh.recs, nogoodRec{limit: int32(limit), next: head, sig: sig, hashes: hashes, entries: entries})
+	sh.recs = append(sh.recs, nogoodRec{limit: int32(limit), next: head, sig: sig, hashes: hashes, entries: entries, ids: ids})
 	sh.mu.Unlock()
 	pr.recorded.Add(1)
 }
 
-// nogoodHit reports whether the table t extended by the binding
-// (xo, xd) contains a nogood refuted at a pending limit ≤ limit. xo
-// must be undefined in t (it is the branch's needed observation); tsig
-// and hashes are the table's membership bloom and per-entry anchor
-// hashes, both computed once per branch by the caller (the candidate's
-// own entries are the only possible anchors of a contained nogood, and
-// re-deriving them per child made the lookup the hottest path of small
-// solves).
-func (pr *pruneState) nogoodHit(limit int, t Table, tsig uint64, hashes []uint64, xo ObsKey, xd Decision) bool {
-	x := pruneEntry{obs: xo, d: xd}
-	xh := entryHash(x)
+// nogoodHit reports whether w's current table extended by the binding
+// (xo, xd) contains a nogood refuted at a pending limit ≤ limit. xo,
+// whose id is xid, must be undefined in the table (it is the branch's
+// needed observation); tsig and hashes are the table's membership bloom
+// and per-entry anchor hashes, both computed once per branch by the
+// caller (the candidate's own entries are the only possible anchors of
+// a contained nogood, and re-deriving them per child made the lookup
+// the hottest path of small solves).
+func (pr *pruneState) nogoodHit(w *searcher, limit int, tsig uint64, hashes []uint64, xid int32, xo ObsKey, xd Decision) bool {
+	xh := entryHash(pruneEntry{obs: xo, d: xd})
 	csig := tsig | hashSigBit(xh)
-	size := len(t) + 1
-	if pr.anchoredHit(limit, t, hashes, xo, xd, xh, xh, csig, size) {
+	size := len(hashes) + 1
+	if pr.anchoredHit(w, limit, hashes, xid, xd, xh, xh, csig, size) {
 		return true
 	}
 	for _, h := range hashes {
-		if pr.anchoredHit(limit, t, hashes, xo, xd, h, xh, csig, size) {
+		if pr.anchoredHit(w, limit, hashes, xid, xd, h, xh, csig, size) {
 			return true
 		}
 	}
 	return false
 }
 
-func (pr *pruneState) anchoredHit(limit int, t Table, tsorted []uint64, xo ObsKey, xd Decision, h, xh, csig uint64, size int) bool {
+func (pr *pruneState) anchoredHit(w *searcher, limit int, tsorted []uint64, xid int32, xd Decision, h, xh, csig uint64, size int) bool {
 	sh := &pr.nogood[h%pruneShards]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -357,15 +384,15 @@ func (pr *pruneState) anchoredHit(limit int, t Table, tsorted []uint64, xo ObsKe
 		}
 		// Hash-covered: verify exactly (collisions must reject).
 		ok := true
-		for _, e := range r.entries {
-			if e.obs == xo {
+		for j, e := range r.entries {
+			if r.ids[j] == xid {
 				if e.d != xd {
 					ok = false
 					break
 				}
 				continue
 			}
-			if d, defined := t[e.obs]; !defined || d != e.d {
+			if d, defined := w.decision(r.ids[j]); !defined || d != e.d {
 				ok = false
 				break
 			}
@@ -397,9 +424,10 @@ func (w *searcher) closeRefuted(nd *tableNode, leaf bool) {
 		if w.ts.stop.Load() {
 			return
 		}
-		pr.addCredit(w.ts.obs.key(nd.oid))
+		pr.addCredit(nd.oid)
 		if !leaf && w.ts.recordNogoods {
-			pr.recordNogood(w.ts.pendingLimit, nogoodEntries(nd, w.ts.obs))
+			entries, ids := nogoodEntries(nd, w.ts.obs)
+			pr.recordNogood(w.ts.pendingLimit, entries, ids)
 		}
 		p := nd.parent
 		if p.openKids.Add(-1) != 0 {
@@ -410,52 +438,61 @@ func (w *searcher) closeRefuted(nd *tableNode, leaf bool) {
 	}
 }
 
-// nogoodEntries serializes a branch's table chain as a fresh sorted
-// entry slice (retained by the nogood store), or nil when the table is
-// too deep to be worth recording.
-func nogoodEntries(nd *tableNode, oc *obsCache) []pruneEntry {
+// nogoodEntries serializes a branch's table chain as fresh entry and id
+// slices sorted by observation key (retained by the nogood store), or
+// nil when the table is too deep to be worth recording.
+func nogoodEntries(nd *tableNode, oc *obsCache) ([]pruneEntry, []int32) {
 	n := 0
 	for c := nd; c != nil && c.parent != nil; c = c.parent {
 		n++
 	}
 	if n > nogoodMaxEntries {
-		return nil
+		return nil, nil
 	}
 	entries := make([]pruneEntry, 0, n)
+	ids := make([]int32, 0, n)
 	for c := nd; c != nil && c.parent != nil; c = c.parent {
 		e := pruneEntry{obs: oc.key(c.oid), d: c.d}
 		// Insertion sort by observation key; chains are short and
 		// near-sorted order does not matter at this size.
 		i := len(entries)
 		entries = append(entries, e)
+		ids = append(ids, c.oid)
 		for i > 0 && e.obs.Less(entries[i-1].obs) {
-			entries[i] = entries[i-1]
+			entries[i], ids[i] = entries[i-1], ids[i-1]
 			i--
 		}
-		entries[i] = e
+		entries[i], ids[i] = e, c.oid
 	}
-	return entries
+	return entries, ids
 }
 
 // exportState snapshots the refutation credits and the nogood store
-// for checkpoint serialization (checkpoint.go). Credits are sorted by
-// hash so the encoding is deterministic; nogood records are emitted in
-// shard order and, within a shard, in append order — re-recording them
-// in that order (importState) rebuilds byte-identical chain structure,
-// which the resume determinism contract needs. The solver only calls
-// this while the tier is quiesced (workers parked or exited), but the
-// shard locks are taken anyway so the method is safe under -race
-// whenever it is reachable.
+// for checkpoint serialization (checkpoint.go). Credits are summed per
+// obsHash, imported ones included, and sorted by hash so the encoding
+// is deterministic; nogood records are emitted in shard order and,
+// within a shard, in append order — re-recording them in that order
+// (importState) rebuilds byte-identical chain structure, which the
+// resume determinism contract needs. The solver only calls this while
+// the tier is quiesced (workers parked or exited), but the counters are
+// read atomically and the shard locks taken anyway, so the method is
+// safe under -race whenever it is reachable.
 func (pr *pruneState) exportState() (credits []ckptCredit, nogoods []ckptNogood) {
-	for i := range pr.credit {
-		sh := &pr.credit[i]
-		sh.mu.RLock()
-		for h, c := range sh.m {
-			if c != 0 {
-				credits = append(credits, ckptCredit{hash: h, credit: c})
+	sums := make(map[uint64]int64, len(pr.imported))
+	for h, c := range pr.imported {
+		sums[h] += c
+	}
+	for ci, chunk := range *pr.credits.Load() {
+		for j := range chunk {
+			if c := chunk[j].Load(); c != 0 {
+				sums[obsHash(pr.obs.key(int32(ci<<obsChunkBits|j)))] += c
 			}
 		}
-		sh.mu.RUnlock()
+	}
+	for h, c := range sums {
+		if c != 0 {
+			credits = append(credits, ckptCredit{hash: h, credit: c})
+		}
 	}
 	sort.Slice(credits, func(i, j int) bool { return credits[i].hash < credits[j].hash })
 	for i := range pr.nogood {
@@ -474,21 +511,22 @@ func (pr *pruneState) exportState() (credits []ckptCredit, nogoods []ckptNogood)
 }
 
 // importState restores an exported pruning state into a fresh
-// pruneState. Nogoods are replayed through recordNogood, so chain
-// heads, links and the recorded counter come out exactly as they were
-// at export time.
+// pruneState. Nogoods are replayed through recordNogood, with ids
+// assigned by the state's obsCache, so chain heads, links and the
+// recorded counter come out exactly as they were at export time.
 func (pr *pruneState) importState(credits []ckptCredit, nogoods []ckptNogood) {
-	for _, c := range credits {
-		sh := &pr.credit[c.hash%pruneShards]
-		sh.mu.Lock()
-		if sh.m == nil {
-			sh.m = make(map[uint64]int64)
+	if len(credits) > 0 {
+		pr.imported = make(map[uint64]int64, len(credits))
+		for _, c := range credits {
+			pr.imported[c.hash] = c.credit
 		}
-		sh.m[c.hash] = c.credit
-		sh.mu.Unlock()
 	}
 	for _, ng := range nogoods {
-		pr.recordNogood(int(ng.limit), ng.entries)
+		ids := make([]int32, len(ng.entries))
+		for i, e := range ng.entries {
+			ids[i] = pr.obs.idOf(e.obs)
+		}
+		pr.recordNogood(int(ng.limit), ng.entries, ids)
 	}
 }
 
@@ -536,7 +574,7 @@ func (w *searcher) dominatedChild(oid int32, d Decision) bool {
 				dd := DStay
 				if oi.oid != oid {
 					var known bool
-					dd, known = w.table[w.ts.obs.key(oi.oid)]
+					dd, known = w.decision(oi.oid)
 					if !known {
 						dead = false
 						break

@@ -233,10 +233,22 @@ func TestPruneDeterministicAcrossWorkers(t *testing.T) {
 func ngKey(lo, hi config.View) ObsKey { return ObsKey{Lo: config.KeyOf(lo), Hi: config.KeyOf(hi)} }
 
 // ngHit wraps nogoodHit with the per-branch precomputation the searcher
-// performs.
+// performs, binding t as a fresh searcher's table.
 func ngHit(pr *pruneState, limit int, t Table, xo ObsKey, xd Decision) bool {
-	sig, hashes := tableSigAndAnchors(t, nil)
-	return pr.nogoodHit(limit, t, sig, hashes, xo, xd)
+	w := newSearcher(&tierSearch{obs: pr.obs})
+	nd := bindTable(w, t)
+	sig, hashes := tableSigAndAnchors(nd, pr.obs, nil)
+	return pr.nogoodHit(w, limit, sig, hashes, pr.obs.idOf(xo), xo, xd)
+}
+
+// ngRecord wraps recordNogood, numbering the entries' observations in
+// pr's obsCache as closeRefuted's chains and importState do.
+func ngRecord(pr *pruneState, limit int, entries []pruneEntry) {
+	ids := make([]int32, len(entries))
+	for i, e := range entries {
+		ids[i] = pr.obs.idOf(e.obs)
+	}
+	pr.recordNogood(limit, entries, ids)
 }
 
 // TestNogoodStoreSubsetSemantics pins the memo's contract directly:
@@ -244,7 +256,7 @@ func ngHit(pr *pruneState, limit int, t Table, xo ObsKey, xd Decision) bool {
 // contains a recorded nogood whose pending limit is not above the
 // query's.
 func TestNogoodStoreSubsetSemantics(t *testing.T) {
-	pr := newPruneState()
+	pr := newPruneState(newObsCache(8))
 	o := func(i int) ObsKey {
 		return ngKey(config.View{0, i, 1}, config.View{1, i, 0})
 	}
@@ -263,7 +275,7 @@ func TestNogoodStoreSubsetSemantics(t *testing.T) {
 		return es
 	}
 	// Nogood {o1:stay, o3:lo} refuted at limit 0.
-	pr.recordNogood(0, mk(1, int(DStay), 3, int(DTowardLo)))
+	ngRecord(pr, 0, mk(1, int(DStay), 3, int(DTowardLo)))
 
 	tab := Table{o(1): DStay}
 	// Adding o3:lo completes the superset: hit at limit 0 and above.
@@ -294,7 +306,7 @@ func TestNogoodStoreSubsetSemantics(t *testing.T) {
 	}
 	// A nogood recorded at a higher limit must not prune a lower one
 	// (a stronger adversary's win proves nothing about a weaker one).
-	pr.recordNogood(2, mk(2, int(DStay), 4, int(DEither)))
+	ngRecord(pr, 2, mk(2, int(DStay), 4, int(DEither)))
 	tab2 := Table{o(2): DStay}
 	if ngHit(pr, 0, tab2, o(4), DEither) {
 		t.Error("limit-2 nogood pruned a limit-0 query")
@@ -308,7 +320,7 @@ func TestNogoodStoreSubsetSemantics(t *testing.T) {
 // shard clear: overflowing records are dropped (never wrongly matched),
 // and the store keeps answering correctly after saturation.
 func TestNogoodStoreBounds(t *testing.T) {
-	pr := newPruneState()
+	pr := newPruneState(newObsCache(8))
 	anchor := ngKey(config.View{0, 9, 1}, config.View{1, 9, 0})
 	vary := func(i int) ObsKey {
 		return ngKey(config.View{0, i, 2}, config.View{2, i, 0})
@@ -324,7 +336,7 @@ func TestNogoodStoreBounds(t *testing.T) {
 		if b.obs.Less(a.obs) {
 			es = []pruneEntry{b, a}
 		}
-		pr.recordNogood(0, es)
+		ngRecord(pr, 0, es)
 		recorded++
 	}
 	hits := 0

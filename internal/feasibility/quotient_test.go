@@ -267,7 +267,7 @@ func TestRevisitCatchesOrbitMateLoop(t *testing.T) {
 			queue:         newWorkQueue(),
 		}
 		w := newSearcher(ts)
-		w.table = table
+		bindTable(w, table)
 		win, _, _, err := w.analyze()
 		if err != nil {
 			t.Fatalf("noQuotient=%v: %v", noQuotient, err)
@@ -317,7 +317,7 @@ func survivorHoldsMode(s *Solver, tier int, tab Table) bool {
 		queue:         newWorkQueue(),
 	}
 	w := newSearcher(ts)
-	w.table = tab
+	bindTable(w, tab)
 	win, _, legal, err := w.analyze()
 	return err == nil && !win && legal == 0
 }

@@ -69,9 +69,9 @@ type cycleVisit struct {
 	v  isom
 }
 
-// searcher is one worker's search engine: the materialized table of the
-// branch under analysis, the state-interning tables (state → dense id
-// with slice-backed adjacency, replacing the former per-branch
+// searcher is one worker's search engine: the per-id view of the table
+// of the branch under analysis, the state-interning tables (state →
+// dense id with slice-backed adjacency, replacing the former per-branch
 // map[uint64] trio), and every scratch buffer, all reused across the
 // branches this worker processes.
 type searcher struct {
@@ -82,12 +82,11 @@ type searcher struct {
 	// (see quotient.go); off, the searcher is the unquotiented oracle.
 	quotient bool
 
-	// table is the current branch's decision table, rebuilt from the
-	// copy-on-write chain once per analyze (materialize), which also
-	// stamps the bound ids in obsSlots with tableEpoch. tableEpoch
-	// starts above a fresh slot's zero stamp, so a table that was
-	// assigned rather than materialized binds no slot.
-	table      Table
+	// tableEpoch stamps the obsSlots the current branch's table binds:
+	// materialize walks the copy-on-write chain once per analyze and
+	// writes each bound id's decision into its slot (see decision). It
+	// starts above a fresh slot's zero stamp, so a new searcher binds
+	// nothing.
 	tableEpoch uint64
 
 	// State interning: states[id], cont[id] (stem contamination clear
@@ -200,12 +199,13 @@ type obsAgg struct {
 
 // obsSlot is a searcher's scratch for one observation id, stamped
 // rather than cleared (the interntable.go idiom): bound == tableEpoch
-// while the current branch's table defines the observation, and at
+// while the current branch's table defines the observation as d, and at
 // indexes its obsAgg entry while agg == aggEpoch.
 type obsSlot struct {
 	bound uint64
 	agg   uint64
 	at    int32
+	d     Decision
 }
 
 // slot returns oid's scratch slot, growing the slot array as the
@@ -219,13 +219,22 @@ func (w *searcher) slot(oid int32) *obsSlot {
 	return &w.obsSlots[oid]
 }
 
+// decision looks oid up in the current branch's table. Ids past the
+// slot array were never bound.
+func (w *searcher) decision(oid int32) (Decision, bool) {
+	if int(oid) >= len(w.obsSlots) {
+		return 0, false
+	}
+	sl := &w.obsSlots[oid]
+	return sl.d, sl.bound == w.tableEpoch
+}
+
 func newSearcher(ts *tierSearch) *searcher {
 	return &searcher{
 		ts:           ts,
 		n:            ts.n,
 		pendingLimit: ts.pendingLimit,
 		quotient:     ts.quotient,
-		table:        make(Table, 64),
 		tableEpoch:   1,
 		canonCache:   make(map[uint64]occCanon, 1<<8),
 		dirs:         make([]ring.Direction, ts.k),
@@ -317,11 +326,10 @@ func (w *searcher) process(nd *tableNode) {
 	var kept [4]Decision
 	nk := 0
 	pr := w.ts.prune
-	neededKey := w.ts.obs.key(needed)
 	var tsig uint64
 	checkNogoods := pr != nil && pr.recorded.Load() > 0
 	if checkNogoods {
-		tsig, w.anchorHash = tableSigAndAnchors(w.table, w.anchorHash)
+		tsig, w.anchorHash = tableSigAndAnchors(nd, w.ts.obs, w.anchorHash)
 	}
 	for d := DEither; d >= DStay; d-- {
 		if legal&(1<<uint(d)) == 0 {
@@ -330,12 +338,12 @@ func (w *searcher) process(nd *tableNode) {
 		if pr != nil {
 			if w.dominatedChild(needed, d) {
 				w.ts.dominated.Add(1)
-				pr.addCredit(neededKey)
+				pr.addCredit(needed)
 				continue
 			}
-			if checkNogoods && pr.nogoodHit(w.ts.pendingLimit, w.table, tsig, w.anchorHash, neededKey, d) {
+			if checkNogoods && pr.nogoodHit(w, w.ts.pendingLimit, tsig, w.anchorHash, needed, w.ts.obs.key(needed), d) {
 				w.ts.memoHits.Add(1)
-				pr.addCredit(neededKey)
+				pr.addCredit(needed)
 				continue
 			}
 		}
@@ -358,14 +366,14 @@ func (w *searcher) process(nd *tableNode) {
 	}
 }
 
-// materialize rebuilds the branch's table from its copy-on-write chain
-// into w.table and stamps each bound id's slot.
+// materialize makes the branch's copy-on-write chain the current table:
+// a fresh epoch unbinds the previous branch's slots, and each chain
+// binding stamps its id's slot with the decision.
 func (w *searcher) materialize(nd *tableNode) {
-	clear(w.table)
 	w.tableEpoch++
 	for ; nd != nil && nd.parent != nil; nd = nd.parent {
-		w.table[w.ts.obs.key(nd.oid)] = nd.d
-		w.slot(nd.oid).bound = w.tableEpoch
+		sl := w.slot(nd.oid)
+		sl.bound, sl.d = w.tableEpoch, nd.d
 	}
 }
 
@@ -548,23 +556,22 @@ func (w *searcher) selectNeeded() (int32, uint8) {
 	}
 	pr := w.ts.prune
 	var best int32
-	var bestKey ObsKey
 	var bestMask uint8
 	bestScore := int64(-1)
 	bestOpts := 1 << 30
 	for j := range w.agg {
 		a := &w.agg[j]
-		if w.obsSlots[a.oid].bound == w.tableEpoch {
+		if _, bound := w.decision(a.oid); bound {
 			continue
 		}
-		key := w.ts.obs.key(a.oid)
 		var score int64
 		if pr != nil {
-			score = int64(a.count) + pruneCreditWeight*pr.creditOf(key)
+			score = int64(a.count) + pruneCreditWeight*pr.creditOf(a.oid)
 		}
 		opts := bits.OnesCount8(a.legal)
-		if score > bestScore || (score == bestScore && (opts < bestOpts || (opts == bestOpts && key.Less(bestKey)))) {
-			best, bestKey, bestMask, bestScore, bestOpts = a.oid, key, a.legal, score, opts
+		if score > bestScore || (score == bestScore && (opts < bestOpts ||
+			(opts == bestOpts && w.ts.obs.key(a.oid).Less(w.ts.obs.key(best))))) {
+			best, bestMask, bestScore, bestOpts = a.oid, a.legal, score, opts
 		}
 	}
 	return best, bestMask
@@ -656,7 +663,7 @@ func (w *searcher) expand(id int32) (collision bool) {
 		if _, hasPending := st.pendingAt(oi.node); hasPending {
 			continue
 		}
-		d, known := w.table[w.ts.obs.key(oi.oid)]
+		d, known := w.decision(oi.oid)
 		if !known {
 			unknowns = true
 			w.waiters = append(w.waiters, waiter{oid: oi.oid, id: id, legal: oi.legal})
@@ -702,7 +709,7 @@ func (w *searcher) expand(id int32) (collision bool) {
 	// the adversary's classic symmetry exploit (Lemma 7, Theorem 4, the
 	// B8 rotation of case (4,8)).
 	for _, g := range os.groups {
-		d, known := w.table[w.ts.obs.key(os.infos[g[0]].oid)]
+		d, known := w.decision(os.infos[g[0]].oid)
 		if !known || d == DStay {
 			continue
 		}

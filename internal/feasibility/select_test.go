@@ -19,8 +19,9 @@ type refWaiter struct {
 // waiters carried keys: a linear dedup over the waiter list,
 // O(waiters × distinct observations), with the table checked per
 // waiter. With pr == nil it is the NoPrune oracle's choice, the fewest
-// legal decisions, then ObsKey order. selectNeeded must pick the same
-// observation on every input.
+// legal decisions, then ObsKey order. Credits are read through the ids
+// pr's obsCache assigned. selectNeeded must pick the same observation on
+// every input.
 func selectNeededReference(waiters []refWaiter, table Table, pr *pruneState) (ObsKey, uint8) {
 	if pr == nil {
 		var best ObsKey
@@ -69,7 +70,7 @@ func selectNeededReference(waiters []refWaiter, table Table, pr *pruneState) (Ob
 	bestOpts := 1 << 30
 	for j := range aggs {
 		a := &aggs[j]
-		score := int64(a.count) + pruneCreditWeight*pr.creditOf(a.obs)
+		score := int64(a.count) + pruneCreditWeight*pr.creditOf(pr.obs.idOf(a.obs))
 		opts := bits.OnesCount8(a.legal)
 		if score > bestScore || (score == bestScore && (opts < bestOpts || (opts == bestOpts && a.obs.Less(best)))) {
 			best, bestMask, bestScore, bestOpts = a.obs, a.legal, score, opts
@@ -127,10 +128,10 @@ func TestSelectNeededMatchesReference(t *testing.T) {
 		}
 		var pr *pruneState
 		if trial%4 != 0 {
-			pr = newPruneState()
+			pr = newPruneState(cache)
 			for _, o := range pool {
 				for c := rng.Intn(3); c > 0; c-- {
-					pr.addCredit(o)
+					pr.addCredit(cache.idOf(o))
 				}
 			}
 		}

@@ -141,7 +141,8 @@ func (o ObsKey) String() string {
 
 // Table is a partial oblivious algorithm: observation → decision. The
 // search never clones tables: branches are copy-on-write tableNode
-// chains, materialized into a per-worker scratch map once per analyze.
+// chains, materialized into a worker's per-observation-id view once per
+// analyze.
 type Table map[ObsKey]Decision
 
 // obsOf builds the observation of the robot at node u: the unordered
@@ -247,10 +248,15 @@ type Solver struct {
 	// defaults to {0, 2}.
 	PendingTiers []int
 	// Workers is the size of the table-search worker pool; 0 or negative
-	// means GOMAXPROCS. The verdict and tier are identical for any worker
-	// count (the decision tree is explored exhaustively unless a survivor
-	// cancels it); only wall time and the identity of the surviving table
-	// may differ.
+	// means GOMAXPROCS, which is what NewSolver and the public
+	// ProveSearchingImpossible run with. An impossibility verdict holds
+	// for any worker count: every adversary win is validated, so none is
+	// an artifact of branch order. The tier, the surviving table and
+	// whether the solve finishes within MaxExpansions can depend on the
+	// worker count today: the lasso hunt is not complete within its
+	// bounds, so which partial table it refutes depends on the branch
+	// order the workers' interleaving produces. One worker reproduces the
+	// sequential depth-first search exactly.
 	Workers int
 	// NoQuotient disables the dihedral symmetry quotient: states are
 	// interned verbatim instead of canonically under the ring's 2n
@@ -453,7 +459,7 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 	// ladder stays sound too).
 	var prune *pruneState
 	if !s.NoPrune {
-		prune = newPruneState()
+		prune = newPruneState(s.obsCache)
 	}
 	s.lastPrune = prune
 
