@@ -43,16 +43,15 @@ func Plus(seq ...int) PatternItem { return PatternItem{Seq: seq, Min: 1, Max: -1
 func Rep(m int, seq ...int) PatternItem { return PatternItem{Seq: seq, Min: m, Max: m} }
 
 // MatchView reports whether view v matches the pattern exactly
-// (anchored at both ends). It compiles the pattern to its position NFA
-// (patterncompile.go) and simulates; callers matching one pattern
-// against many views or configurations should Compile once and reuse.
+// (anchored at both ends).
 func (p Pattern) MatchView(v View) bool {
-	return p.Compile().MatchView(v)
+	return matchFrom(p, v, 0)
 }
 
-// matchFrom is the original backtracking matcher, kept as the
-// differential oracle for the compiled automaton (it is exponential on
-// adversarial patterns, so it is no longer on any public path).
+// matchFrom reports whether v[pos:] matches p exactly by backtracking
+// over each item's repetition count. That is exponential on patterns
+// with several unbounded items over self-overlapping units; each of the
+// paper's pattern families has a single unbounded item.
 func matchFrom(p Pattern, v View, pos int) bool {
 	if len(p) == 0 {
 		return pos == len(v)
@@ -84,10 +83,14 @@ func matchFrom(p Pattern, v View, pos int) bool {
 }
 
 // Matches reports whether any view of configuration c matches p —
-// the paper's "C belongs to pattern P". The pattern is compiled once
-// and reused across all 2k views.
+// the paper's "C belongs to pattern P".
 func (c Config) Matches(p Pattern) bool {
-	return p.Compile().Matches(c)
+	for _, v := range c.Views() {
+		if matchFrom(p, v, 0) {
+			return true
+		}
+	}
+	return false
 }
 
 // String renders the pattern roughly in the paper's notation.

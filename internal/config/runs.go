@@ -53,13 +53,3 @@ func (c Config) Runs() []Run {
 	// (they already are: sorting by start node preserves cyclic order).
 	return runs
 }
-
-// RunLens returns just the block lengths in clockwise order.
-func (c Config) RunLens() []int {
-	runs := c.Runs()
-	out := make([]int, len(runs))
-	for i, r := range runs {
-		out[i] = r.Len
-	}
-	return out
-}

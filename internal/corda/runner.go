@@ -2,7 +2,6 @@ package corda
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ringrobots/internal/ring"
 )
@@ -25,27 +24,6 @@ func (RoundRobin) NextRobot(w *World, step int) int { return step % w.K() }
 
 // ResolveEither implements Scheduler.
 func (RoundRobin) ResolveEither(w *World, id, step int) ring.Direction { return ring.CW }
-
-// RandomScheduler activates uniformly random robots and resolves Either
-// uniformly; it remains fair with probability 1. Deterministic under a
-// fixed seed.
-type RandomScheduler struct{ Rng *rand.Rand }
-
-// NewRandomScheduler returns a seeded random scheduler.
-func NewRandomScheduler(seed int64) *RandomScheduler {
-	return &RandomScheduler{Rng: rand.New(rand.NewSource(seed))}
-}
-
-// NextRobot implements Scheduler.
-func (s *RandomScheduler) NextRobot(w *World, step int) int { return s.Rng.Intn(w.K()) }
-
-// ResolveEither implements Scheduler.
-func (s *RandomScheduler) ResolveEither(w *World, id, step int) ring.Direction {
-	if s.Rng.Intn(2) == 0 {
-		return ring.CW
-	}
-	return ring.CCW
-}
 
 // Runner executes an algorithm with atomic Look-Compute-Move cycles.
 // Atomicity makes runs reproducible; the paper's algorithms guarantee at

@@ -50,15 +50,11 @@ type ckptNogood struct {
 // callback (periodically), or by UnmarshalCheckpoint; they are opaque
 // outside this package except through Stats.
 type Checkpoint struct {
-	version       string
-	n, k          int
-	maxCycleLen   int
-	noQuotient    bool
-	noIncremental bool
-	noPrune       bool
+	version string
+	inst    Instance // the game; its PendingTiers is shared, never mutated
+	modes   searchModes
 
-	pendingTiers []int
-	tierIndex    int // index into pendingTiers of the suspended tier
+	tierIndex int // index into inst.PendingTiers of the suspended tier
 
 	// counters is the cumulative Result so far (SurvivorTable stripped;
 	// the prior survivor travels as entries below).
@@ -75,6 +71,17 @@ type Checkpoint struct {
 
 	credits []ckptCredit
 	nogoods []ckptNogood
+}
+
+// searchModes are the solver's differential-oracle switches. They are
+// outside the Instance (the verdict does not depend on them) but a
+// checkpoint only resumes under the modes that wrote it.
+type searchModes struct {
+	noQuotient, noIncremental, noPrune bool
+}
+
+func (s *Solver) modes() searchModes {
+	return searchModes{noQuotient: s.NoQuotient, noIncremental: s.NoIncremental, noPrune: s.NoPrune}
 }
 
 // tableEntries flattens a table into entries sorted by observation —
@@ -105,20 +112,9 @@ func (ck *Checkpoint) priorSurvivor() Table {
 // complete open frontier in queue order (bottom first); the nodes are
 // read, never retained, so calling under the quiesce barrier with the
 // live queue slice is safe.
-func (s *Solver) captureCheckpoint(tiers []int, ti int, counters Result, survivor Table, frontier []*tableNode, prune *pruneState) *Checkpoint {
+func (s *Solver) captureCheckpoint(inst Instance, ti int, counters Result, survivor Table, frontier []*tableNode, prune *pruneState) *Checkpoint {
 	counters.SurvivorTable = nil
-	ck := &Checkpoint{
-		version:       SolverVersion,
-		n:             s.N,
-		k:             s.K,
-		maxCycleLen:   s.MaxCycleLen,
-		noQuotient:    s.NoQuotient,
-		noIncremental: s.NoIncremental,
-		noPrune:       s.NoPrune,
-		pendingTiers:  append([]int(nil), tiers...),
-		tierIndex:     ti,
-		counters:      counters,
-	}
+	ck := &Checkpoint{version: SolverVersion, inst: inst, modes: s.modes(), tierIndex: ti, counters: counters}
 	if survivor != nil {
 		ck.hasPrior = true
 		ck.prior = tableEntries(survivor)
@@ -196,30 +192,14 @@ func (ck *Checkpoint) validateFor(s *Solver) error {
 	if ck.version != SolverVersion {
 		return fmt.Errorf("feasibility: checkpoint from solver version %q, this solver is %q", ck.version, SolverVersion)
 	}
-	if ck.n != s.N || ck.k != s.K {
-		return fmt.Errorf("feasibility: checkpoint is for n=%d k=%d, solver has n=%d k=%d", ck.n, ck.k, s.N, s.K)
+	if inst := s.InstanceOf(); !ck.inst.equal(inst) {
+		return fmt.Errorf("feasibility: checkpoint is for instance %v, solver has %v", ck.inst, inst)
 	}
-	if ck.maxCycleLen != s.MaxCycleLen {
-		return fmt.Errorf("feasibility: checkpoint MaxCycleLen %d != solver %d", ck.maxCycleLen, s.MaxCycleLen)
+	if m := s.modes(); ck.modes != m {
+		return fmt.Errorf("feasibility: checkpoint search modes %+v do not match solver %+v", ck.modes, m)
 	}
-	if ck.noQuotient != s.NoQuotient || ck.noIncremental != s.NoIncremental || ck.noPrune != s.NoPrune {
-		return fmt.Errorf("feasibility: checkpoint search modes (NoQuotient=%t NoIncremental=%t NoPrune=%t) do not match solver (%t %t %t)",
-			ck.noQuotient, ck.noIncremental, ck.noPrune, s.NoQuotient, s.NoIncremental, s.NoPrune)
-	}
-	tiers := s.PendingTiers
-	if len(tiers) == 0 {
-		tiers = []int{0, 2}
-	}
-	if len(tiers) != len(ck.pendingTiers) {
-		return fmt.Errorf("feasibility: checkpoint tier ladder %v does not match solver %v", ck.pendingTiers, tiers)
-	}
-	for i, limit := range tiers {
-		if ck.pendingTiers[i] != limit {
-			return fmt.Errorf("feasibility: checkpoint tier ladder %v does not match solver %v", ck.pendingTiers, tiers)
-		}
-	}
-	if ck.tierIndex < 0 || ck.tierIndex >= len(ck.pendingTiers) {
-		return fmt.Errorf("feasibility: checkpoint tier index %d out of range for ladder %v", ck.tierIndex, ck.pendingTiers)
+	if ck.tierIndex < 0 || ck.tierIndex >= len(ck.inst.PendingTiers) {
+		return fmt.Errorf("feasibility: checkpoint tier index %d out of range for ladder %v", ck.tierIndex, ck.inst.PendingTiers)
 	}
 	if len(ck.frontier) == 0 {
 		return errors.New("feasibility: checkpoint has an empty frontier")
@@ -249,10 +229,10 @@ type CheckpointStats struct {
 func (ck *Checkpoint) Stats() CheckpointStats {
 	st := CheckpointStats{
 		Version:          ck.version,
-		N:                ck.n,
-		K:                ck.k,
+		N:                ck.inst.N,
+		K:                ck.inst.K,
 		TierIndex:        ck.tierIndex,
-		TierCount:        len(ck.pendingTiers),
+		TierCount:        len(ck.inst.PendingTiers),
 		FrontierNodes:    len(ck.frontier),
 		TablesExplored:   ck.counters.TablesExplored,
 		ExpansionUnits:   ck.counters.ExpansionUnits,
@@ -260,8 +240,8 @@ func (ck *Checkpoint) Stats() CheckpointStats {
 		Nogoods:          len(ck.nogoods),
 		HasPriorSurvivor: ck.hasPrior,
 	}
-	if ck.tierIndex >= 0 && ck.tierIndex < len(ck.pendingTiers) {
-		st.Tier = ck.pendingTiers[ck.tierIndex]
+	if ck.tierIndex >= 0 && ck.tierIndex < len(ck.inst.PendingTiers) {
+		st.Tier = ck.inst.PendingTiers[ck.tierIndex]
 	}
 	depth := make([]int, len(ck.nodes))
 	for i, cn := range ck.nodes {
@@ -417,25 +397,25 @@ func (ck *Checkpoint) MarshalBinary() ([]byte, error) {
 	b = binary.AppendUvarint(b, ckptFormat)
 	b = binary.AppendUvarint(b, uint64(len(ck.version)))
 	b = append(b, ck.version...)
-	b = binary.AppendUvarint(b, uint64(ck.n))
-	b = binary.AppendUvarint(b, uint64(ck.k))
-	b = binary.AppendUvarint(b, uint64(ck.maxCycleLen))
+	b = binary.AppendUvarint(b, uint64(ck.inst.N))
+	b = binary.AppendUvarint(b, uint64(ck.inst.K))
+	b = binary.AppendUvarint(b, uint64(ck.inst.MaxCycleLen))
 	var flags byte
-	if ck.noQuotient {
+	if ck.modes.noQuotient {
 		flags |= 1
 	}
-	if ck.noIncremental {
+	if ck.modes.noIncremental {
 		flags |= 2
 	}
-	if ck.noPrune {
+	if ck.modes.noPrune {
 		flags |= 4
 	}
 	if ck.hasPrior {
 		flags |= 8
 	}
 	b = append(b, flags)
-	b = binary.AppendUvarint(b, uint64(len(ck.pendingTiers)))
-	for _, t := range ck.pendingTiers {
+	b = binary.AppendUvarint(b, uint64(len(ck.inst.PendingTiers)))
+	for _, t := range ck.inst.PendingTiers {
 		b = binary.AppendUvarint(b, uint64(t))
 	}
 	b = binary.AppendUvarint(b, uint64(ck.tierIndex))
@@ -486,17 +466,15 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	ck := &Checkpoint{}
 	ck.version = string(d.bytes(int(d.uvarint())))
-	ck.n = int(d.uvarint())
-	ck.k = int(d.uvarint())
-	ck.maxCycleLen = int(d.uvarint())
+	ck.inst.N = int(d.uvarint())
+	ck.inst.K = int(d.uvarint())
+	ck.inst.MaxCycleLen = int(d.uvarint())
 	flags := d.byte()
-	ck.noQuotient = flags&1 != 0
-	ck.noIncremental = flags&2 != 0
-	ck.noPrune = flags&4 != 0
+	ck.modes = searchModes{noQuotient: flags&1 != 0, noIncremental: flags&2 != 0, noPrune: flags&4 != 0}
 	ck.hasPrior = flags&8 != 0
-	ck.pendingTiers = make([]int, 0, d.count(1))
-	for i := cap(ck.pendingTiers); i > 0; i-- {
-		ck.pendingTiers = append(ck.pendingTiers, int(d.uvarint()))
+	ck.inst.PendingTiers = make([]int, 0, d.count(1))
+	for i := cap(ck.inst.PendingTiers); i > 0; i-- {
+		ck.inst.PendingTiers = append(ck.inst.PendingTiers, int(d.uvarint()))
 	}
 	ck.tierIndex = int(d.uvarint())
 	d.resultCounters(&ck.counters)

@@ -254,7 +254,7 @@ func TestContaminationMaskMatchesOracle(t *testing.T) {
 				}
 			}
 			oracle := newOracleCont(n, occ)
-			cm := contRefresh(0, occ, n)
+			cm := ring.ContRefresh(0, occ, n)
 			if cm != oracle.mask() {
 				t.Fatalf("n=%d occ=%b: initial clear mask %b != oracle %b", n, occ, cm, oracle.mask())
 			}

@@ -1,6 +1,10 @@
 package feasibility
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"ringrobots/internal/ring"
+)
 
 // This file implements incremental sibling-branch re-analysis for the
 // decision-table search. A child branch's table differs from its
@@ -269,7 +273,7 @@ func (w *searcher) recomputeCont() {
 	w.visitEpoch++
 	w.order = growI32(w.order, nStates)[:0]
 	for id := int32(0); id < w.numStarts; id++ {
-		w.cont[id] = contRefresh(0, w.states[id].occupied, w.n)
+		w.cont[id] = ring.ContRefresh(0, w.states[id].occupied, w.n)
 		w.visited[id] = w.visitEpoch
 		w.order = append(w.order, id)
 	}

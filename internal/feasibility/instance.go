@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Instance is the canonical identity of a solve: every parameter that
@@ -23,30 +24,37 @@ type Instance struct {
 	PendingTiers []int
 }
 
+// The game's defaults, filled in wherever a zero MaxCycleLen or an
+// empty PendingTiers stands for them.
+const defaultMaxCycleLen = 24
+
+func defaultPendingTiers() []int { return []int{0, 2} }
+
 // InstanceOf captures the solver's verdict-determining parameters in
-// normalized form (defaults filled in, tier ladder copied).
+// normalized form (defaults filled in, tier ladder copied). The solve
+// runs exactly this game.
 func (s *Solver) InstanceOf() Instance {
-	return Instance{
-		N:            s.N,
-		K:            s.K,
-		MaxCycleLen:  s.MaxCycleLen,
-		PendingTiers: append([]int(nil), s.PendingTiers...),
-	}.Normalized()
+	return Instance{N: s.N, K: s.K, MaxCycleLen: s.MaxCycleLen, PendingTiers: s.PendingTiers}.Normalized()
 }
 
-// Normalized fills the solver defaults (MaxCycleLen 24, tier ladder
-// {0, 2}) so that equal games get equal keys regardless of whether the
-// caller spelled the defaults out.
+// Normalized fills the solver defaults (defaultMaxCycleLen,
+// defaultPendingTiers) so that equal games get equal keys regardless of
+// whether the caller spelled the defaults out.
 func (inst Instance) Normalized() Instance {
 	if inst.MaxCycleLen == 0 {
-		inst.MaxCycleLen = 24
+		inst.MaxCycleLen = defaultMaxCycleLen
 	}
 	if len(inst.PendingTiers) == 0 {
-		inst.PendingTiers = []int{0, 2}
+		inst.PendingTiers = defaultPendingTiers()
 	} else {
 		inst.PendingTiers = append([]int(nil), inst.PendingTiers...)
 	}
 	return inst
+}
+
+// equal reports whether two normalized instances are the same game.
+func (inst Instance) equal(o Instance) bool {
+	return inst.N == o.N && inst.K == o.K && inst.MaxCycleLen == o.MaxCycleLen && slices.Equal(inst.PendingTiers, o.PendingTiers)
 }
 
 // Validate reports every problem with the instance at once (one
@@ -81,7 +89,7 @@ func (inst Instance) Solver() *Solver {
 	inst = inst.Normalized()
 	s := NewSolver(inst.N, inst.K)
 	s.MaxCycleLen = inst.MaxCycleLen
-	s.PendingTiers = append([]int(nil), inst.PendingTiers...)
+	s.PendingTiers = inst.PendingTiers
 	return s
 }
 
@@ -128,23 +136,5 @@ func (inst Instance) String() string {
 // Instance.Key, which covers the same fields, so a mismatch indicates
 // store corruption rather than a routine condition.
 func (ck *Checkpoint) Matches(inst Instance) bool {
-	if ck == nil {
-		return false
-	}
-	inst = inst.Normalized()
-	if ck.version != SolverVersion || ck.n != inst.N || ck.k != inst.K || ck.maxCycleLen != inst.MaxCycleLen {
-		return false
-	}
-	if ck.noQuotient || ck.noIncremental || ck.noPrune {
-		return false
-	}
-	if len(ck.pendingTiers) != len(inst.PendingTiers) {
-		return false
-	}
-	for i, t := range inst.PendingTiers {
-		if ck.pendingTiers[i] != t {
-			return false
-		}
-	}
-	return true
+	return ck != nil && ck.version == SolverVersion && ck.modes == searchModes{} && ck.inst.equal(inst.Normalized())
 }

@@ -34,14 +34,11 @@ import (
 // search. Resume(RootCheckpoint(s)) is equivalent to SolveContext, so
 // a coordinator can treat fresh drains and resumed drains uniformly.
 func RootCheckpoint(s *Solver) (*Checkpoint, error) {
-	if err := s.InstanceOf().Validate(); err != nil {
+	inst := s.InstanceOf()
+	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	tiers := s.PendingTiers
-	if len(tiers) == 0 {
-		tiers = []int{0, 2}
-	}
-	return s.captureCheckpoint(tiers, 0, Result{Tier: tiers[0]}, nil, []*tableNode{{}}, nil), nil
+	return s.captureCheckpoint(inst, 0, Result{Tier: inst.PendingTiers[0]}, nil, []*tableNode{{}}, nil), nil
 }
 
 // NewSolver rebuilds a solver matching the checkpoint's identity: ring
@@ -55,12 +52,8 @@ func (ck *Checkpoint) NewSolver() (*Solver, error) {
 	if ck.version != SolverVersion {
 		return nil, fmt.Errorf("feasibility: checkpoint from solver version %q, this solver is %q", ck.version, SolverVersion)
 	}
-	s := NewSolver(ck.n, ck.k)
-	s.MaxCycleLen = ck.maxCycleLen
-	s.PendingTiers = append([]int(nil), ck.pendingTiers...)
-	s.NoQuotient = ck.noQuotient
-	s.NoIncremental = ck.noIncremental
-	s.NoPrune = ck.noPrune
+	s := ck.inst.Solver()
+	s.NoQuotient, s.NoIncremental, s.NoPrune = ck.modes.noQuotient, ck.modes.noIncremental, ck.modes.noPrune
 	return s, nil
 }
 
@@ -97,19 +90,14 @@ func (ck *Checkpoint) Partition(k int) ([]*Checkpoint, error) {
 			}
 		}
 		sh := &Checkpoint{
-			version:       ck.version,
-			n:             ck.n,
-			k:             ck.k,
-			maxCycleLen:   ck.maxCycleLen,
-			noQuotient:    ck.noQuotient,
-			noIncremental: ck.noIncremental,
-			noPrune:       ck.noPrune,
-			pendingTiers:  append([]int(nil), ck.pendingTiers...),
-			tierIndex:     ck.tierIndex,
-			counters:      Result{Tier: ck.counters.Tier},
-			hasPrior:      ck.hasPrior,
-			prior:         append([]pruneEntry(nil), ck.prior...),
-			credits:       append([]ckptCredit(nil), ck.credits...),
+			version:   ck.version,
+			inst:      ck.inst,
+			modes:     ck.modes,
+			tierIndex: ck.tierIndex,
+			counters:  Result{Tier: ck.counters.Tier},
+			hasPrior:  ck.hasPrior,
+			prior:     append([]pruneEntry(nil), ck.prior...),
+			credits:   append([]ckptCredit(nil), ck.credits...),
 		}
 		for _, ng := range ck.nogoods {
 			sh.nogoods = append(sh.nogoods, ckptNogood{
@@ -424,17 +412,8 @@ func addResultDelta(dst *Result, d Result) {
 // this base checkpoint: same identity, same tier position, same prior
 // survivor. A mismatch means the coordinator mixed generations.
 func (ck *Checkpoint) sameShardHeader(sh *Checkpoint) error {
-	if sh.version != ck.version || sh.n != ck.n || sh.k != ck.k || sh.maxCycleLen != ck.maxCycleLen ||
-		sh.noQuotient != ck.noQuotient || sh.noIncremental != ck.noIncremental || sh.noPrune != ck.noPrune {
+	if sh.version != ck.version || !sh.inst.equal(ck.inst) || sh.modes != ck.modes {
 		return errors.New("feasibility: suspended shard checkpoint does not match the partitioned checkpoint's identity")
-	}
-	if len(sh.pendingTiers) != len(ck.pendingTiers) {
-		return errors.New("feasibility: suspended shard checkpoint has a different tier ladder")
-	}
-	for i, t := range ck.pendingTiers {
-		if sh.pendingTiers[i] != t {
-			return errors.New("feasibility: suspended shard checkpoint has a different tier ladder")
-		}
 	}
 	if sh.tierIndex != ck.tierIndex {
 		return fmt.Errorf("feasibility: suspended shard checkpoint is at tier index %d, base is at %d", sh.tierIndex, ck.tierIndex)
@@ -529,14 +508,14 @@ func (ck *Checkpoint) Merge(shards int, results []ShardResult) (*Result, *Checkp
 	for _, r := range byShard {
 		addResultDelta(&counters, r.Counters)
 	}
-	limit := ck.pendingTiers[ck.tierIndex]
+	limit := ck.inst.PendingTiers[ck.tierIndex]
 	counters.Tier = limit
 
 	if surv != nil {
 		// One table the adversary cannot beat settles the tier no matter
 		// what the other shards did (exactly the single-process rule: a
 		// survivor cancels the remaining branches).
-		if ck.tierIndex == len(ck.pendingTiers)-1 {
+		if ck.tierIndex == len(ck.inst.PendingTiers)-1 {
 			final := counters
 			final.Impossible = false
 			final.SurvivorTable = surv.Survivor
@@ -560,18 +539,13 @@ func (ck *Checkpoint) Merge(shards int, results []ShardResult) (*Result, *Checkp
 
 	// Recombine the suspended frontiers into a same-tier checkpoint.
 	merged := &Checkpoint{
-		version:       ck.version,
-		n:             ck.n,
-		k:             ck.k,
-		maxCycleLen:   ck.maxCycleLen,
-		noQuotient:    ck.noQuotient,
-		noIncremental: ck.noIncremental,
-		noPrune:       ck.noPrune,
-		pendingTiers:  append([]int(nil), ck.pendingTiers...),
-		tierIndex:     ck.tierIndex,
-		counters:      counters,
-		hasPrior:      ck.hasPrior,
-		prior:         append([]pruneEntry(nil), ck.prior...),
+		version:   ck.version,
+		inst:      ck.inst,
+		modes:     ck.modes,
+		tierIndex: ck.tierIndex,
+		counters:  counters,
+		hasPrior:  ck.hasPrior,
+		prior:     append([]pruneEntry(nil), ck.prior...),
 	}
 	merged.counters.SurvivorTable = nil
 	type nodeKey struct {
@@ -610,7 +584,7 @@ func (ck *Checkpoint) Merge(shards int, results []ShardResult) (*Result, *Checkp
 			merged.frontier = append(merged.frontier, mid)
 		}
 	}
-	if !merged.noPrune {
+	if !merged.modes.noPrune {
 		// Restore true open counts: in the merged closure every still-open
 		// child of a node is present (it has an open descendant on some
 		// shard's frontier), and every refuted child is absent, so the
@@ -732,25 +706,20 @@ func (ck *Checkpoint) advanceTier(survivor Table, counters Result, nogoods []ckp
 	if survivor == nil {
 		return nil, errors.New("feasibility: advancing a tier requires a survivor")
 	}
-	if ck.tierIndex+1 >= len(ck.pendingTiers) {
+	if ck.tierIndex+1 >= len(ck.inst.PendingTiers) {
 		return nil, errors.New("feasibility: no tier to advance to")
 	}
 	counters.SurvivorTable = nil
 	next := &Checkpoint{
-		version:       ck.version,
-		n:             ck.n,
-		k:             ck.k,
-		maxCycleLen:   ck.maxCycleLen,
-		noQuotient:    ck.noQuotient,
-		noIncremental: ck.noIncremental,
-		noPrune:       ck.noPrune,
-		pendingTiers:  append([]int(nil), ck.pendingTiers...),
-		tierIndex:     ck.tierIndex + 1,
-		counters:      counters,
-		hasPrior:      true,
-		prior:         tableEntries(survivor),
-		nodes:         []ckptNode{{parent: -1}},
-		frontier:      []int32{0},
+		version:   ck.version,
+		inst:      ck.inst,
+		modes:     ck.modes,
+		tierIndex: ck.tierIndex + 1,
+		counters:  counters,
+		hasPrior:  true,
+		prior:     tableEntries(survivor),
+		nodes:     []ckptNode{{parent: -1}},
+		frontier:  []int32{0},
 	}
 	for _, ng := range nogoods {
 		next.nogoods = append(next.nogoods, ckptNogood{

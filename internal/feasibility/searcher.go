@@ -451,7 +451,7 @@ func (w *searcher) analyze() (win bool, needed int32, legal uint8, err error) {
 		if _, ok := w.tab.lookup(st); ok {
 			continue
 		}
-		w.intern(st, contRefresh(0, st.occupied, w.n))
+		w.intern(st, ring.ContRefresh(0, st.occupied, w.n))
 	}
 	w.numStarts = int32(len(w.states))
 

@@ -242,7 +242,8 @@ type Solver struct {
 	// branches and workers); exceeding it aborts with ErrBudget rather
 	// than returning a wrong verdict.
 	MaxExpansions int
-	// MaxCycleLen bounds the length of candidate starvation loops.
+	// MaxCycleLen bounds the length of candidate starvation loops; zero
+	// means NewSolver's default.
 	MaxCycleLen int
 	// PendingTiers lists the pending-move allowances tried in order;
 	// defaults to {0, 2}.
@@ -330,7 +331,7 @@ type Solver struct {
 // budget covers even the deepest Theorem 5 cases, (4,9) and (5,9), which
 // the interned engine finishes in seconds.
 func NewSolver(n, k int) *Solver {
-	return &Solver{N: n, K: k, MaxExpansions: 250_000_000, MaxCycleLen: 24, PendingTiers: []int{0, 2}}
+	return &Solver{N: n, K: k, MaxExpansions: 250_000_000, MaxCycleLen: defaultMaxCycleLen, PendingTiers: defaultPendingTiers()}
 }
 
 // Result reports a Solve outcome.
@@ -440,10 +441,8 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 	if s.K < 1 || s.K >= s.N || s.N < 3 || s.N > maxRingSize {
 		return Result{}, nil, fmt.Errorf("feasibility: solver supports 3 <= n <= %d, 1 <= k < n; got n=%d k=%d", maxRingSize, s.N, s.K)
 	}
-	tiers := s.PendingTiers
-	if len(tiers) == 0 {
-		tiers = []int{0, 2}
-	}
+	inst := s.InstanceOf()
+	tiers := inst.PendingTiers
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -503,7 +502,7 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 			k:              s.K,
 			pendingLimit:   limit,
 			maxExpansions:  int64(s.MaxExpansions), // budget per tier (fresh per run)
-			maxCycleLen:    s.MaxCycleLen,
+			maxCycleLen:    inst.MaxCycleLen,
 			quotient:       !s.NoQuotient,
 			incremental:    !s.NoIncremental,
 			collisionOrder: !s.noCollisionOrder,
@@ -535,7 +534,7 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 		ts.queue.workers = workers
 		if s.CheckpointEvery > 0 && s.OnCheckpoint != nil {
 			ts.queue.barrier = func(frontier []*tableNode) bool {
-				cp := s.captureCheckpoint(tiers, ti, addCounters(base, ts), survivor, frontier, prune)
+				cp := s.captureCheckpoint(inst, ti, addCounters(base, ts), survivor, frontier, prune)
 				if err := s.OnCheckpoint(cp); err != nil {
 					ts.failQuiesced(err)
 					return false
@@ -617,7 +616,7 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 				res.SurvivorTable = nil
 				return res, nil, nil
 			}
-			cp := s.captureCheckpoint(tiers, ti, res, survivor, frontier, prune)
+			cp := s.captureCheckpoint(inst, ti, res, survivor, frontier, prune)
 			if errors.Is(err, ErrBudget) {
 				err = &BudgetError{Tier: limit, Units: ts.expansions.Load()}
 			}

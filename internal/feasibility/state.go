@@ -93,53 +93,15 @@ func (s state) config(n int) config.Config {
 
 // --- contamination on edge bitmasks -----------------------------------------
 //
-// The mixed-search rules of §4.1, evaluated on bitmasks instead of
-// per-edge boolean slices: the ring's n edges (edge e joins nodes e and
-// e+1 mod n) fit one word for n ≤ 32, so the clear/contaminated fixpoint
-// becomes a handful of rotate-and-mask steps per move batch. Semantics
-// are identical to package search's Contamination; the boolean-slice
-// oracle is retained in the tests and differentially checked.
-
-// rotL1 rotates an n-bit mask up by one: bit u of the result is bit u−1
-// (mod n) of m. m must have no bits at or above position n.
-func rotL1(m uint64, n int) uint64 {
-	return (m<<1 | m>>(uint(n)-1)) & (uint64(1)<<uint(n) - 1)
-}
-
-// rotR1 rotates an n-bit mask down by one: bit u of the result is bit
-// u+1 (mod n) of m.
-func rotR1(m uint64, n int) uint64 {
-	return (m>>1 | m<<(uint(n)-1)) & (uint64(1)<<uint(n) - 1)
-}
-
-// contRefresh returns the stable clear-edge mask reached from the given
-// clear set under occupancy occ: an edge between two occupied nodes is
-// always clear, and contamination spreads from a contaminated edge
-// through an unoccupied shared endpoint to the adjacent edge, iterated
-// to fixpoint.
-func contRefresh(clear, occ uint64, n int) uint64 {
-	full := uint64(1)<<uint(n) - 1
-	// Both endpoints occupied: edge e joins nodes e and e+1.
-	clear |= occ & rotR1(occ, n)
-	dirty := full &^ clear
-	for {
-		// Unoccupied endpoints of contaminated edges…
-		nodes := (dirty | rotL1(dirty, n)) &^ occ
-		// …recontaminate both of their incident edges (node u touches
-		// edges u−1 and u).
-		next := dirty | nodes | rotR1(nodes, n)
-		if next == dirty {
-			return full &^ dirty
-		}
-		dirty = next
-	}
-}
+// The solver tracks §4.1 contamination as an edge mask per state and
+// refreshes it with ring.ContRefresh; the boolean-slice oracle is
+// retained in the tests and differentially checked.
 
 // contApply records a batch of simultaneous traversals (as origin masks
 // per direction) against the post-move occupancy and returns the
 // refreshed clear mask. A robot leaving node u clockwise traverses edge
 // u; counterclockwise, edge u−1.
 func contApply(clear, movesCW, movesCCW, occAfter uint64, n int) uint64 {
-	clear |= movesCW | rotR1(movesCCW, n)
-	return contRefresh(clear, occAfter, n)
+	clear |= movesCW | config.MaskRotate(movesCCW, n-1, n)
+	return ring.ContRefresh(clear, occAfter, n)
 }

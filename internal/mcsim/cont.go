@@ -1,55 +1,21 @@
 package mcsim
 
-// Mask contamination: the mixed graph-searching rules of §4.1 evaluated
-// on single-word edge bitmasks, the n ≤ 64 generalization of the
-// feasibility solver's n ≤ 32 kernel (internal/feasibility/state.go).
-// Edge e joins nodes e and e+1 (mod n); bit e of a mask is edge e's
-// state. Semantics are exactly package search's Contamination tracker —
-// guarded edges (both endpoints occupied) are clear, a traversed edge
-// becomes clear, and contamination spreads from a contaminated edge
-// through an unoccupied endpoint to the adjacent edges, iterated to
-// fixpoint. TestMaskContaminationMatchesOracle pins the equivalence.
+import "ringrobots/internal/ring"
+
+// Mask contamination: the mixed graph-searching rules of §4.1 on
+// single-word edge bitmasks (n ≤ 64), with the fixpoint computed by
+// ring.ContRefresh. A traversed edge becomes clear, then the guarded
+// and recontamination rules run. TestMaskContaminationMatchesOracle
+// pins the equivalence with package search's Contamination tracker.
 
 // fullMask returns the n low bits set (valid for n ≤ 64: a shift count
 // of 64 yields 0, so 0−1 wraps to all-ones).
 func fullMask(n int) uint64 { return uint64(1)<<uint(n) - 1 }
 
-// rotUp1 rotates an n-bit mask up by one: bit u of the result is bit
-// u−1 (mod n) of m.
-func rotUp1(m uint64, n int) uint64 {
-	return (m<<1 | m>>(uint(n)-1)) & fullMask(n)
-}
-
-// rotDown1 rotates an n-bit mask down by one: bit u of the result is
-// bit u+1 (mod n) of m.
-func rotDown1(m uint64, n int) uint64 {
-	return (m>>1 | m<<(uint(n)-1)) & fullMask(n)
-}
-
-// contRefresh returns the stable clear-edge mask reached from clear
-// under occupancy occ: guarded edges become clear, then recontamination
-// spreads to fixpoint.
-func contRefresh(clear, occ uint64, n int) uint64 {
-	full := fullMask(n)
-	clear |= occ & rotDown1(occ, n)
-	dirty := full &^ clear
-	for {
-		// Unoccupied endpoints of contaminated edges (edge e has ends e
-		// and e+1, so node u is an end of edges u−1 and u)…
-		nodes := (dirty | rotUp1(dirty, n)) &^ occ
-		// …recontaminate both of their incident edges.
-		next := dirty | nodes | rotDown1(nodes, n)
-		if next == dirty {
-			return full &^ dirty
-		}
-		dirty = next
-	}
-}
-
 // contInit returns the initial clear mask for occupancy occ: every edge
 // contaminated, then the guarded-edge rule applied (the state
 // search.NewContamination starts from).
-func contInit(occ uint64, n int) uint64 { return contRefresh(0, occ, n) }
+func contInit(occ uint64, n int) uint64 { return ring.ContRefresh(0, occ, n) }
 
 // clearReset is the adversarial probe applied after every all-clear
 // event, mirroring search.Contamination.Reset: all edges recontaminated,
@@ -77,5 +43,5 @@ func contMove(clear, occ uint64, n, from, to int) uint64 {
 	} else {
 		traversed = 1 << uint(to)
 	}
-	return contRefresh(clear|traversed, occ, n)
+	return ring.ContRefresh(clear|traversed, occ, n)
 }

@@ -4,7 +4,9 @@
 // the labels carry no meaning in the robot model (the ring is anonymous and
 // unoriented). Directions +1 and -1 are likewise simulator-internal: they
 // give the engine a consistent way to apply moves, but algorithms never
-// observe them.
+// observe them. The package also holds the edge-mask contamination
+// kernel (ContRefresh) shared by the feasibility solver and the Monte
+// Carlo engine.
 package ring
 
 import "fmt"
@@ -133,4 +135,52 @@ func (r Ring) EdgeEnds(e Edge) (int, int) {
 // IncidentEdges returns the two edges incident to node u.
 func (r Ring) IncidentEdges(u int) (Edge, Edge) {
 	return Edge(r.Norm(u - 1)), Edge(u)
+}
+
+// --- contamination on edge bitmasks -----------------------------------------
+//
+// The mixed-search rules of §4.1 on single-word edge masks: bit e of a
+// mask is the state of Edge e, which joins nodes e and e+1 (mod n), and
+// bit u of an occupancy mask is node u. The feasibility solver and the
+// Monte Carlo backend both evaluate contamination with ContRefresh; its
+// semantics are package search's boolean-slice Contamination tracker,
+// which each of them checks it against differentially.
+
+// fullMask returns the n low bits set (a shift count of 64 yields 0, so
+// 0−1 wraps to all-ones for n = 64).
+func fullMask(n int) uint64 { return uint64(1)<<uint(n) - 1 }
+
+// rotUp1 rotates an n-bit mask up by one: bit u of the result is bit u−1
+// (mod n) of m. m must have no bits at or above position n.
+func rotUp1(m uint64, n int) uint64 {
+	return (m<<1 | m>>(uint(n)-1)) & fullMask(n)
+}
+
+// rotDown1 rotates an n-bit mask down by one: bit u of the result is
+// bit u+1 (mod n) of m.
+func rotDown1(m uint64, n int) uint64 {
+	return (m>>1 | m<<(uint(n)-1)) & fullMask(n)
+}
+
+// ContRefresh returns the stable clear-edge mask of an n-node ring
+// (n ≤ 64) reached from the given clear set under occupancy occ: an
+// edge between two occupied nodes is always clear, and contamination
+// spreads from a contaminated edge through an unoccupied shared
+// endpoint to the adjacent edge, iterated to fixpoint.
+func ContRefresh(clear, occ uint64, n int) uint64 {
+	full := fullMask(n)
+	// Both endpoints occupied: edge e joins nodes e and e+1.
+	clear |= occ & rotDown1(occ, n)
+	dirty := full &^ clear
+	for {
+		// Unoccupied endpoints of contaminated edges…
+		nodes := (dirty | rotUp1(dirty, n)) &^ occ
+		// …recontaminate both of their incident edges (node u touches
+		// edges u−1 and u).
+		next := dirty | nodes | rotDown1(nodes, n)
+		if next == dirty {
+			return full &^ dirty
+		}
+		dirty = next
+	}
 }

@@ -3,14 +3,14 @@
 // queries for arbitrary (k, n), backed by a persistent
 // content-addressed verdict store (internal/verdictstore,
 // journal-backed so it survives kill -9), single-flight deduplication
-// so concurrent identical queries cost one solve (flight.go), a bounded
-// worker pool with cheapest-first admission and load shedding
-// (admission.go), and
-// graceful degradation: overload, per-request budgets, deadlines and
-// SIGTERM all suspend in-flight solves through the solver's checkpoint
-// path, the checkpoint is journaled under the same instance key, and a
-// later request for the same instance resumes the drain instead of
-// restarting it — partial work is never lost.
+// so concurrent identical queries cost one solve, a bounded worker pool
+// with cheapest-first admission and load shedding (flights and the
+// admission queue are in admission.go), and graceful degradation:
+// overload, per-request budgets, deadlines and SIGTERM all suspend
+// in-flight solves through the solver's checkpoint path, the checkpoint
+// is journaled under the same instance key, and a later request for the
+// same instance resumes the drain instead of restarting it — partial
+// work is never lost.
 package service
 
 import (

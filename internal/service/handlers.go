@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"ringrobots/internal/feasibility"
 )
 
 // The HTTP/JSON surface:
@@ -203,10 +201,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// instanceKeyHex is a test helper mirror of the key encoding used in
-// responses.
-func instanceKeyHex(inst feasibility.Instance) string {
-	return hex.EncodeToString([]byte(inst.Key()))
 }
