@@ -195,11 +195,12 @@ func BenchmarkImpossibility(b *testing.B) {
 // incremental=off and prune=off rows keep the respective differential
 // oracles' cost on record, quantifying the sibling-branch reuse and
 // tree-level pruning wins over time. n=11/k=6 is the instance the
-// end-to-end drain-single workload drains: 11,000 tables. With table
-// lookups and credits read by observation id, its CPU profile (2-CPU
-// container) is the per-branch analysis: the lasso hunt takes about
-// 28%, Tarjan and the contamination replay 19%, branch selection 14%,
-// and the nogood memo's per-branch hashes and probes 13%.
+// end-to-end drain-single workload drains: 11,000 tables. With lasso
+// checks memoized by loop content (93% of them hit), its CPU profile
+// (2-CPU container) is the per-branch analysis: Tarjan and the
+// contamination replay take about 21%, the nogood memo's per-branch
+// hashes and probes 16%, branch selection 13%, and the lasso hunt 12%,
+// of which the checks are 7% (5% on memo misses).
 func BenchmarkFeasibilitySolve(b *testing.B) {
 	for _, tc := range []struct {
 		n, k          int

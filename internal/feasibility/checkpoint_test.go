@@ -373,18 +373,26 @@ func TestResumeValidation(t *testing.T) {
 // so carry imported credits and nogoods into their own exports. The
 // digests were recorded before the search read its table and credits
 // by observation id; how the searcher stores those must not change a
-// byte of what it journals.
+// byte of what it journals. The (11,6) and (10,3) chains were recorded
+// before lasso checks were memoized: (11,6)'s budget trips three times
+// inside a lasso hunt, so a memo hit that charged other than the
+// check's units would move those trips and the bytes after them.
+// (10,3)'s cheap branches trip only at branch-boundary flushes, which
+// still sum every unit the hunts charged.
 func TestCheckpointBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		n, k, every  int
 		budget       int
+		cycle        int
 		wantSuspends int
 		want         string
 	}{
-		{"8,5/every=4", 8, 5, 4, 0, 0, "6cb8bdba065a23944982fb868f8c0f6c1ba994ee0ca0f9bed012d32e745d4c43"},
-		{"9,5/every=8", 9, 5, 8, 0, 0, "eaf355df6366b375cf0d8da4c508bf933a3b55e4463c95c2082e7a4afb4ec6e4"},
-		{"9,5/budget=5000/every=16", 9, 5, 16, 5000, 13, "2ad2cefdfb6c854015a604f7ea7303e497013a32835999f69fdf33bf969e036e"},
+		{"8,5/every=4", 8, 5, 4, 0, 0, 0, "6cb8bdba065a23944982fb868f8c0f6c1ba994ee0ca0f9bed012d32e745d4c43"},
+		{"9,5/every=8", 9, 5, 8, 0, 0, 0, "eaf355df6366b375cf0d8da4c508bf933a3b55e4463c95c2082e7a4afb4ec6e4"},
+		{"9,5/budget=5000/every=16", 9, 5, 16, 5000, 0, 13, "2ad2cefdfb6c854015a604f7ea7303e497013a32835999f69fdf33bf969e036e"},
+		{"11,6/budget=20000/every=64", 11, 6, 64, 20000, 0, 29, "766d050c9c653763ca75224596309a1b9b335799500b4f15b7c5e77f131f23c1"},
+		{"10,3/cycle=12/budget=5000/every=16", 10, 3, 16, 5000, 12, 19, "20520c0b155f111916bcafd08895650f817fea6335e3be73785b13bd9c04988e"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := sha256.New()
@@ -393,6 +401,9 @@ func TestCheckpointBytesPinned(t *testing.T) {
 				s.Workers = 1
 				if tc.budget > 0 {
 					s.MaxExpansions = tc.budget
+				}
+				if tc.cycle > 0 {
+					s.MaxCycleLen = tc.cycle
 				}
 				s.CheckpointEvery = tc.every
 				s.OnCheckpoint = func(cp *Checkpoint) error {

@@ -158,6 +158,10 @@ type searcher struct {
 	maskSeen   []uint64
 	isoSeen    []isom
 	passClear  []bool
+	// memo caches lasso verdicts by loop content (lassomemo.go); memoKey
+	// is the buffer lassoKey builds probe keys in.
+	memo    *lassoMemo
+	memoKey []uint64
 
 	// Group-activation scratch.
 	groupBuf []obsInfo
@@ -238,7 +242,15 @@ func newSearcher(ts *tierSearch) *searcher {
 		tableEpoch:   1,
 		canonCache:   make(map[uint64]occCanon, 1<<8),
 		dirs:         make([]ring.Direction, ts.k),
+		memo:         lassoMemos.Get().(*lassoMemo),
 	}
+}
+
+// release returns the worker's lasso memo to the pool for the next
+// tier or solve; the searcher must not be used afterwards.
+func (w *searcher) release() {
+	lassoMemos.Put(w.memo)
+	w.memo = nil
 }
 
 // canonState is the cached hot-path variant of the package-level
@@ -1127,17 +1139,78 @@ func (w *searcher) dfsCycle(cur, target, comp int32, lengthCap int) (bool, error
 }
 
 // cycleIsFairAndBad checks the winning conditions on the candidate loop
-// in w.cycle anchored at head, with contamination entering the loop as
-// in the head's stem. Under the symmetry quotient a loop of canonical
-// states is a real execution only after lifting: composing the edges'
-// isometries yields the net relabeling ψ one pass applies, and the true
-// cycle closes after order(ψ) passes. The checks below run on that lift
-// — with quotienting off every isometry is the identity, ψ = id, and
-// they reduce to the plain single-pass checks. Each fairness and
-// contamination pass is charged to the shared expansion budget: the
-// passes dominate the cost of deep lasso hunts, and leaving them free
-// let pathological loops exceed the budget's intent (PR 2 follow-up).
+// in w.cycle anchored at head (see lassoVerdict) and charges the check's
+// units to the expansion budget. The verdict is a pure function of the
+// loop's content, so it comes from the worker's lassoMemo when the same
+// loop was checked before. Either way the same units are charged as
+// one checkAbort each (in bulk while they stay below the next flush),
+// so a budget or stop trips at the same unit.
 func (w *searcher) cycleIsFairAndBad(head int32) (bool, error) {
+	var bad bool
+	var units int32
+	if key, ok := w.lassoKey(head); ok {
+		h := lassoHash(key)
+		if s, hit := w.memo.lookup(key, h); hit {
+			bad, units = s.bad, s.units
+		} else {
+			bad, units = w.lassoVerdict(head)
+			w.memo.store(s, key, h, bad, units)
+		}
+	} else {
+		bad, units = w.lassoVerdict(head)
+	}
+	if w.local+int64(units) < expansionBatch {
+		w.local += int64(units)
+		return bad, nil
+	}
+	for ; units > 0; units-- {
+		if err := w.checkAbort(); err != nil {
+			return false, err
+		}
+	}
+	return bad, nil
+}
+
+// lassoKey writes into w.memoKey every word lassoVerdict reads for the
+// loop in w.cycle anchored at head: the ring size and the head's stem
+// contamination, then per edge its target's state and stayable mask
+// and the edge's isometry, activations and moves. The loop closes at
+// head, so the last edge's target words are the head's state and
+// stayable mask. Each mask fits in 32 bits at maxRingSize, and only
+// pending word 0 is populated there, so an edge packs into four words.
+// ok is false for loops too long to cache.
+func (w *searcher) lassoKey(head int32) (key []uint64, ok bool) {
+	size := 1 + 4*len(w.cycle)
+	if size > lassoMemoMaxKey {
+		return nil, false
+	}
+	key = growU64(w.memoKey, size)
+	w.memoKey = key
+	key[0] = w.cont[head] | uint64(w.n)<<32
+	for i := range w.cycle {
+		e := &w.cycle[i]
+		st := w.states[e.to]
+		k := key[1+4*i : 5+4*i]
+		k[0] = st.occupied | w.info[e.to].stayable<<32
+		k[1] = st.pending[0]
+		k[2] = e.acts | e.movesCW<<32
+		k[3] = e.movesCCW | uint64(e.iso)<<32
+	}
+	return key, true
+}
+
+// lassoVerdict decides the loop in w.cycle anchored at head, with
+// contamination entering the loop as in the head's stem, and returns
+// the budget units the check costs. Under the symmetry quotient a loop
+// of canonical states is a real execution only after lifting:
+// composing the edges' isometries yields the net relabeling ψ one pass
+// applies, and the true cycle closes after order(ψ) passes. The checks
+// below run on that lift — with quotienting off every isometry is the
+// identity, ψ = id, and they reduce to the plain single-pass checks.
+// Each fairness and contamination pass costs one unit: the passes
+// dominate the cost of deep lasso hunts, and leaving them free let
+// pathological loops exceed the budget's intent.
+func (w *searcher) lassoVerdict(head int32) (bad bool, units int32) {
 	// Net isometry of one pass: each edge maps its source frame onto its
 	// target's canonical frame, so walking the loop in the head's (lift)
 	// frame composes the inverses.
@@ -1153,9 +1226,7 @@ func (w *searcher) cycleIsFairAndBad(head int32) (bool, error) {
 	w.visits = append(w.visits[:0], cycleVisit{id: head, v: isoIdentity})
 	v := isoIdentity
 	for pass := psi.order(w.n); pass > 0; pass-- {
-		if err := w.checkAbort(); err != nil {
-			return false, err
-		}
+		units++
 		for i := range w.cycle {
 			e := &w.cycle[i]
 			acted |= v.nodeMask(e.acts, w.n)
@@ -1169,7 +1240,7 @@ func (w *searcher) cycleIsFairAndBad(head int32) (bool, error) {
 		if _, hasPending := st.pendingAt(u); hasPending {
 			// A pending move held forever violates the model's
 			// finite-cycle requirement: unfair.
-			return false, nil
+			return false, units
 		}
 		canStay := false
 		for _, vis := range w.visits {
@@ -1186,7 +1257,7 @@ func (w *searcher) cycleIsFairAndBad(head int32) (bool, error) {
 			}
 		}
 		if !canStay {
-			return false, nil
+			return false, units
 		}
 	}
 
@@ -1202,9 +1273,7 @@ func (w *searcher) cycleIsFairAndBad(head int32) (bool, error) {
 	w.passClear = w.passClear[:0]
 	const maxPasses = 1 << 16 // defensive; the head pair repeats almost immediately
 	for iter := 0; iter < maxPasses; iter++ {
-		if err := w.checkAbort(); err != nil {
-			return false, err
-		}
+		units++
 		for first, m := range w.maskSeen {
 			if m != cm || w.isoSeen[first] != v {
 				continue
@@ -1212,10 +1281,10 @@ func (w *searcher) cycleIsFairAndBad(head int32) (bool, error) {
 			// Passes first..iter−1 repeat forever.
 			for i := first; i < iter; i++ {
 				if w.passClear[i] {
-					return false, nil
+					return false, units
 				}
 			}
-			return true, nil
+			return true, units
 		}
 		w.maskSeen = append(w.maskSeen, cm)
 		w.isoSeen = append(w.isoSeen, v)
@@ -1235,7 +1304,7 @@ func (w *searcher) cycleIsFairAndBad(head int32) (bool, error) {
 		}
 		w.passClear = append(w.passClear, clearThisPass)
 	}
-	return false, nil // defensive: pass budget exhausted without repetition
+	return false, units // defensive: pass budget exhausted without repetition
 }
 
 func growI32(s []int32, n int) []int32 {

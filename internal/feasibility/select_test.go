@@ -162,62 +162,88 @@ func TestSelectNeededMatchesReference(t *testing.T) {
 	}
 }
 
+// counterRow is one pinned single-worker solve: every search counter
+// the instance produced when waiters still carried full observation
+// keys.
+type counterRow struct {
+	impossible                   bool
+	tier, tables                 int
+	interned, reexpanded, reused int64
+	memo, dominated, units       int64
+	survivor                     int
+}
+
+// counterCase is a pinned solve's instance and options.
+type counterCase struct {
+	name    string
+	n, k    int
+	noPrune bool
+	tiers   []int
+	cycle   int
+	slow    bool
+	want    counterRow
+}
+
+var pinnedCounters = []counterCase{
+	{"7,4", 7, 4, false, nil, 0, false, counterRow{true, 0, 14, 56, 17, 13, 0, 10, 608, 0}},
+	{"7,4/prune=off", 7, 4, true, nil, 0, false, counterRow{true, 0, 45, 180, 48, 44, 0, 0, 736, 0}},
+	{"8,5", 8, 5, false, nil, 0, false, counterRow{true, 0, 116, 580, 120, 115, 0, 34, 2234, 0}},
+	{"8,5/prune=off", 8, 5, true, nil, 0, false, counterRow{true, 0, 547, 2735, 551, 546, 0, 0, 6931, 0}},
+	{"9,4", 9, 4, false, nil, 0, false, counterRow{true, 0, 89, 890, 98, 88, 0, 48, 652, 0}},
+	{"9,4/prune=off", 9, 4, true, nil, 0, true, counterRow{true, 0, 141366, 1413660, 141375, 141365, 0, 0, 4677180, 0}},
+	{"9,5", 9, 5, false, nil, 0, false, counterRow{false, 2, 1140, 15665, 2284, 1138, 1, 219, 63871, 38}},
+	{"9,5/prune=off", 9, 5, true, nil, 0, true, counterRow{false, 2, 53957, 2075574, 247913, 53955, 0, 0, 1531789, 38}},
+	{"9,5/tiers=0,1,2", 9, 5, false, []int{0, 1, 2}, 0, false, counterRow{false, 2, 1553, 23025, 3330, 1550, 2, 294, 102209, 38}},
+	{"9,5/tiers=0,1,2/prune=off", 9, 5, true, []int{0, 1, 2}, 0, true, counterRow{false, 2, 139306, 4415794, 531087, 139303, 0, 0, 4471306, 38}},
+	{"10,3/cycle=12", 10, 3, false, nil, 12, false, counterRow{true, 0, 9598, 76784, 9605, 9597, 0, 2023, 94068, 0}},
+	{"11,6", 11, 6, false, nil, 0, false, counterRow{true, 0, 11000, 286000, 11025, 10999, 0, 4809, 560658, 0}},
+	{"12,5/cycle=8", 12, 5, false, nil, 8, false, counterRow{false, 2, 2560, 117162, 3672, 2558, 5, 896, 13462, 170}},
+	{"10,7", 10, 7, false, nil, 0, false, counterRow{true, 2, 222, 3264, 612, 220, 1, 49, 18800, 0}},
+}
+
+// pinnedCounterCase returns the pinned row called name.
+func pinnedCounterCase(t *testing.T, name string) counterCase {
+	t.Helper()
+	for _, tc := range pinnedCounters {
+		if tc.name == name {
+			return tc
+		}
+	}
+	t.Fatalf("no pinned counter row %q", name)
+	return counterCase{}
+}
+
+// run solves the case with one worker and returns its counters; a
+// solve error comes back as a zero row, which no pinned row equals.
+func (tc counterCase) run() counterRow {
+	s := NewSolver(tc.n, tc.k)
+	s.Workers = 1
+	s.NoPrune = tc.noPrune
+	if tc.tiers != nil {
+		s.PendingTiers = tc.tiers
+	}
+	if tc.cycle != 0 {
+		s.MaxCycleLen = tc.cycle
+	}
+	res, err := s.Solve()
+	if err != nil {
+		return counterRow{}
+	}
+	return counterRow{res.Impossible, res.Tier, res.TablesExplored, res.StatesInterned, res.StatesReexpanded,
+		res.BranchesReused, res.TablesMemoHit, res.BranchesDominated, res.ExpansionUnits, len(res.SurvivorTable)}
+}
+
 // TestSearchCountersPinned pins every counter of single-worker solves
 // to the values the search produced when waiters still carried full
 // observation keys. Observation ids only replace key comparisons, so
 // any drift here means the explored tree changed.
 func TestSearchCountersPinned(t *testing.T) {
-	type want struct {
-		impossible                   bool
-		tier, tables                 int
-		interned, reexpanded, reused int64
-		memo, dominated, units       int64
-		survivor                     int
-	}
-	for _, tc := range []struct {
-		name    string
-		n, k    int
-		noPrune bool
-		tiers   []int
-		cycle   int
-		slow    bool
-		want    want
-	}{
-		{"7,4", 7, 4, false, nil, 0, false, want{true, 0, 14, 56, 17, 13, 0, 10, 608, 0}},
-		{"7,4/prune=off", 7, 4, true, nil, 0, false, want{true, 0, 45, 180, 48, 44, 0, 0, 736, 0}},
-		{"8,5", 8, 5, false, nil, 0, false, want{true, 0, 116, 580, 120, 115, 0, 34, 2234, 0}},
-		{"8,5/prune=off", 8, 5, true, nil, 0, false, want{true, 0, 547, 2735, 551, 546, 0, 0, 6931, 0}},
-		{"9,4", 9, 4, false, nil, 0, false, want{true, 0, 89, 890, 98, 88, 0, 48, 652, 0}},
-		{"9,4/prune=off", 9, 4, true, nil, 0, true, want{true, 0, 141366, 1413660, 141375, 141365, 0, 0, 4677180, 0}},
-		{"9,5", 9, 5, false, nil, 0, false, want{false, 2, 1140, 15665, 2284, 1138, 1, 219, 63871, 38}},
-		{"9,5/prune=off", 9, 5, true, nil, 0, true, want{false, 2, 53957, 2075574, 247913, 53955, 0, 0, 1531789, 38}},
-		{"9,5/tiers=0,1,2", 9, 5, false, []int{0, 1, 2}, 0, false, want{false, 2, 1553, 23025, 3330, 1550, 2, 294, 102209, 38}},
-		{"9,5/tiers=0,1,2/prune=off", 9, 5, true, []int{0, 1, 2}, 0, true, want{false, 2, 139306, 4415794, 531087, 139303, 0, 0, 4471306, 38}},
-		{"10,3/cycle=12", 10, 3, false, nil, 12, false, want{true, 0, 9598, 76784, 9605, 9597, 0, 2023, 94068, 0}},
-		{"11,6", 11, 6, false, nil, 0, false, want{true, 0, 11000, 286000, 11025, 10999, 0, 4809, 560658, 0}},
-		{"12,5/cycle=8", 12, 5, false, nil, 8, false, want{false, 2, 2560, 117162, 3672, 2558, 5, 896, 13462, 170}},
-		{"10,7", 10, 7, false, nil, 0, false, want{true, 2, 222, 3264, 612, 220, 1, 49, 18800, 0}},
-	} {
+	for _, tc := range pinnedCounters {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.slow && testing.Short() {
 				t.Skip("prune=off oracle of a deep case skipped in -short mode")
 			}
-			s := NewSolver(tc.n, tc.k)
-			s.Workers = 1
-			s.NoPrune = tc.noPrune
-			if tc.tiers != nil {
-				s.PendingTiers = tc.tiers
-			}
-			if tc.cycle != 0 {
-				s.MaxCycleLen = tc.cycle
-			}
-			res, err := s.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := want{res.Impossible, res.Tier, res.TablesExplored, res.StatesInterned, res.StatesReexpanded,
-				res.BranchesReused, res.TablesMemoHit, res.BranchesDominated, res.ExpansionUnits, len(res.SurvivorTable)}
-			if got != tc.want {
+			if got := tc.run(); got != tc.want {
 				t.Errorf("counters\n got %+v\nwant %+v", got, tc.want)
 			}
 		})

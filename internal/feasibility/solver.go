@@ -558,6 +558,7 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 			go func() {
 				defer wg.Done()
 				w := newSearcher(ts)
+				defer w.release()
 				for {
 					nd := ts.queue.pop()
 					if nd == nil {
