@@ -198,9 +198,8 @@ func BenchmarkImpossibility(b *testing.B) {
 // end-to-end drain-single workload drains: 11,000 tables. With lasso
 // checks memoized by loop content (93% of them hit), its CPU profile
 // (2-CPU container) is the per-branch analysis: Tarjan and the
-// contamination replay take about 21%, the nogood memo's per-branch
-// hashes and probes 16%, branch selection 13%, and the lasso hunt 12%,
-// of which the checks are 7% (5% on memo misses).
+// contamination replay take about 25%, branch selection 15%, the lasso
+// hunt 15% (of which the checks are 4%), and the dominance probe 5%.
 func BenchmarkFeasibilitySolve(b *testing.B) {
 	for _, tc := range []struct {
 		n, k          int

@@ -68,8 +68,7 @@ type report struct {
 	Repeats    int      `json:"repeats,omitempty"`
 	Benchmarks []result `json:"benchmarks"`
 	// SolverCounters records the tree-level statistics of reference
-	// impossibility solves (explored tables, memo hits, dominated
-	// branches, …) so the pruning trajectory is tracked alongside the
+	// impossibility solves (explored tables, dominated branches, …) so the pruning trajectory is tracked alongside the
 	// timing rows. Ignored by cmd/benchdiff (which gates only ns/op).
 	SolverCounters []solverCounters `json:"solver_counters,omitempty"`
 }
@@ -78,7 +77,6 @@ type report struct {
 type solverCounters struct {
 	Case              string `json:"case"`
 	TablesExplored    int    `json:"tables_explored"`
-	TablesMemoHit     int64  `json:"tables_memo_hit"`
 	BranchesDominated int64  `json:"branches_dominated"`
 	BranchesReused    int64  `json:"branches_reused"`
 	StatesReexpanded  int64  `json:"states_reexpanded"`
@@ -239,14 +237,13 @@ func main() {
 			sc := solverCounters{
 				Case:              fmt.Sprintf("n=%d/k=%d", tc.n, tc.k),
 				TablesExplored:    res.TablesExplored,
-				TablesMemoHit:     res.TablesMemoHit,
 				BranchesDominated: res.BranchesDominated,
 				BranchesReused:    res.BranchesReused,
 				StatesReexpanded:  res.StatesReexpanded,
 			}
 			rep.SolverCounters = append(rep.SolverCounters, sc)
-			fmt.Printf("counters %-12s tables=%d memoHit=%d dominated=%d reused=%d reexpanded=%d\n",
-				sc.Case, sc.TablesExplored, sc.TablesMemoHit, sc.BranchesDominated, sc.BranchesReused, sc.StatesReexpanded)
+			fmt.Printf("counters %-12s tables=%d dominated=%d reused=%d reexpanded=%d\n",
+				sc.Case, sc.TablesExplored, sc.BranchesDominated, sc.BranchesReused, sc.StatesReexpanded)
 		}
 	}
 

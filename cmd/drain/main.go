@@ -196,9 +196,9 @@ func runCoordinator(inst feasibility.Instance, dir string, shards, poolProcs int
 }
 
 func printStats(prefix string, st feasibility.CheckpointStats) {
-	fmt.Printf("%s: tier=%d (index %d) frontier=%d branches depth=[%d..%d] tables=%d units=%d credits=%d nogoods=%d survivor=%v\n",
+	fmt.Printf("%s: tier=%d (index %d) frontier=%d branches depth=[%d..%d] tables=%d units=%d credits=%d survivor=%v\n",
 		prefix, st.Tier, st.TierIndex, st.FrontierNodes, st.FrontierDepthMin, st.FrontierDepthMax,
-		st.TablesExplored, st.ExpansionUnits, st.Credits, st.Nogoods, st.HasPriorSurvivor)
+		st.TablesExplored, st.ExpansionUnits, st.Credits, st.HasPriorSurvivor)
 }
 
 func main() {

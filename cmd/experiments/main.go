@@ -180,11 +180,9 @@ func e4Impossibility(full bool) {
 	// parent's snapshot; states-reexpanded is the expansion work
 	// actually performed, so tables-explored × graph size vs
 	// states-reexpanded shows the compression incremental reuse buys.
-	// memo-hit and dominated count child branches the tree-level
-	// pruning layer refuted without analysis (they never reach
-	// tables-explored): the subtable nogood memo and the one-step
-	// dominance probe respectively.
-	fmt.Println("  (k,n)   paper-claims  solver-verdict  tables-explored  branches-reused  states-reexpanded  memo-hit  dominated  time")
+	// dominated counts child branches the one-step dominance probe
+	// refuted without analysis (they never reach tables-explored).
+	fmt.Println("  (k,n)   paper-claims  solver-verdict  tables-explored  branches-reused  states-reexpanded  dominated  time")
 	for _, tc := range cases {
 		t0 := time.Now()
 		s := feasibility.NewSolver(tc.n, tc.k)
@@ -206,9 +204,9 @@ func e4Impossibility(full bool) {
 			// expected to end this way.
 			verdict = "survivor (bounded adversary; inconclusive)"
 		}
-		fmt.Printf("  (%d,%d)  %-12s  %-38s  %15d  %15d  %17d  %8d  %9d  %v\n",
+		fmt.Printf("  (%d,%d)  %-12s  %-38s  %15d  %15d  %17d  %9d  %v\n",
 			tc.k, tc.n, tc.claim, verdict, res.TablesExplored, res.BranchesReused, res.StatesReexpanded,
-			res.TablesMemoHit, res.BranchesDominated,
+			res.BranchesDominated,
 			time.Since(t0).Round(time.Millisecond))
 	}
 	if !full {

@@ -343,7 +343,11 @@ func TestPoolCoordinatorKillRecovery(t *testing.T) {
 	plan := &launchPlan{}
 	cfg := testConfig(dir, inst, plan)
 	cfg.WorkerBudget = 60
-	got, err := Run(context.Background(), cfg)
+	// A drain whose legs stop making progress never finishes; the
+	// deadline turns that into a failure instead of a test timeout.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	got, err := Run(ctx, cfg)
 	if err != nil {
 		t.Fatalf("recovery run: %v", err)
 	}

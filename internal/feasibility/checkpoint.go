@@ -12,9 +12,9 @@ import (
 // This file implements the checkpoint layer of the table search: a
 // suspended drain's complete restart state — the open branch frontier
 // (copy-on-write chains flattened into an indexed node list), the
-// pruning layer's refutation credits and nogood store, the prior tiers'
-// surviving table, and the cumulative counters — plus a versioned
-// binary encoding for journaling it (internal/journal). Capture happens
+// pruning layer's refutation credits, the prior tiers' surviving
+// table, and the cumulative counters — plus a versioned binary
+// encoding for journaling it (internal/journal). Capture happens
 // either at a quiesce barrier (Solver.CheckpointEvery/OnCheckpoint,
 // workQueue.pop) or at suspension (budget exhaustion, context cancel);
 // Solver.Resume validates a checkpoint and rebuilds the work queue from
@@ -36,13 +36,6 @@ type ckptNode struct {
 type ckptCredit struct {
 	hash   uint64
 	credit int64
-}
-
-// ckptNogood is one refuted subtable with the pending limit it was
-// refuted under.
-type ckptNogood struct {
-	limit   int32
-	entries []pruneEntry
 }
 
 // Checkpoint is the restart state of a suspended drain. Values are
@@ -70,7 +63,6 @@ type Checkpoint struct {
 	frontier []int32
 
 	credits []ckptCredit
-	nogoods []ckptNogood
 }
 
 // searchModes are the solver's differential-oracle switches. They are
@@ -142,7 +134,7 @@ func (s *Solver) captureCheckpoint(inst Instance, ti int, counters Result, survi
 		ck.frontier = append(ck.frontier, addNode(nd))
 	}
 	if prune != nil {
-		ck.credits, ck.nogoods = prune.exportState()
+		ck.credits = prune.exportState()
 	}
 	return ck
 }
@@ -221,7 +213,6 @@ type CheckpointStats struct {
 	TablesExplored   int
 	ExpansionUnits   int64
 	Credits          int
-	Nogoods          int
 	HasPriorSurvivor bool
 }
 
@@ -237,7 +228,6 @@ func (ck *Checkpoint) Stats() CheckpointStats {
 		TablesExplored:   ck.counters.TablesExplored,
 		ExpansionUnits:   ck.counters.ExpansionUnits,
 		Credits:          len(ck.credits),
-		Nogoods:          len(ck.nogoods),
 		HasPriorSurvivor: ck.hasPrior,
 	}
 	if ck.tierIndex >= 0 && ck.tierIndex < len(ck.inst.PendingTiers) {
@@ -388,6 +378,52 @@ func (d *ckptDecoder) decision() Decision {
 	return Decision(v)
 }
 
+// appendCredits writes a credit list — a count, then per credit its
+// obsHash (fixed 8 bytes) and value — followed by an empty legacy list
+// (see skipLegacyNogoods). credits reads it back.
+func appendCredits(b []byte, credits []ckptCredit) []byte {
+	b = binary.AppendUvarint(b, uint64(len(credits)))
+	for _, cr := range credits {
+		b = binary.LittleEndian.AppendUint64(b, cr.hash)
+		b = binary.AppendVarint(b, cr.credit)
+	}
+	return append(b, 0)
+}
+
+// credits reads a credit list written by appendCredits, then skips the
+// legacy list after it.
+func (d *ckptDecoder) credits() []ckptCredit {
+	n := d.count(9)
+	credits := make([]ckptCredit, 0, n)
+	for i := 0; i < n; i++ {
+		raw := d.bytes(8)
+		var h uint64
+		if d.err == nil {
+			h = binary.LittleEndian.Uint64(raw)
+		}
+		credits = append(credits, ckptCredit{hash: h, credit: d.varint()})
+	}
+	d.skipLegacyNogoods()
+	return credits
+}
+
+// skipLegacyNogoods reads and discards the list that ends a format-1
+// checkpoint and a ShardResult's pruning export: the records of a
+// refuted-subtable (nogood) memo the search no longer has, each a
+// pending limit and its (observation, decision) entries. Writers emit
+// an empty list; old lists are validated as before — a truncated list
+// or an out-of-range decision still fails the decode — and discarded,
+// so stored checkpoints and in-flight drains still resume.
+func (d *ckptDecoder) skipLegacyNogoods() {
+	for i := d.count(2); i > 0; i-- {
+		d.uvarint()
+		for j := d.count(3); j > 0; j-- {
+			d.obsKey()
+			d.decision()
+		}
+	}
+}
+
 // MarshalBinary encodes the checkpoint for journaling. The encoding is
 // deterministic: capturing the same quiesced state twice yields
 // identical bytes.
@@ -437,20 +473,7 @@ func (ck *Checkpoint) MarshalBinary() ([]byte, error) {
 	for _, id := range ck.frontier {
 		b = binary.AppendUvarint(b, uint64(id))
 	}
-	b = binary.AppendUvarint(b, uint64(len(ck.credits)))
-	for _, cr := range ck.credits {
-		b = binary.LittleEndian.AppendUint64(b, cr.hash)
-		b = binary.AppendVarint(b, cr.credit)
-	}
-	b = binary.AppendUvarint(b, uint64(len(ck.nogoods)))
-	for _, ng := range ck.nogoods {
-		b = binary.AppendUvarint(b, uint64(ng.limit))
-		b = binary.AppendUvarint(b, uint64(len(ng.entries)))
-		for _, e := range ng.entries {
-			b = appendEntry(b, e)
-		}
-	}
-	return b, nil
+	return appendCredits(b, ck.credits), nil
 }
 
 // UnmarshalCheckpoint decodes a checkpoint produced by MarshalBinary.
@@ -507,28 +530,7 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 		ck.frontier = append(ck.frontier, int32(id))
 	}
-	nCred := d.count(9)
-	ck.credits = make([]ckptCredit, 0, nCred)
-	for i := 0; i < nCred; i++ {
-		raw := d.bytes(8)
-		var h uint64
-		if d.err == nil {
-			h = binary.LittleEndian.Uint64(raw)
-		}
-		ck.credits = append(ck.credits, ckptCredit{hash: h, credit: d.varint()})
-	}
-	nNg := d.count(2)
-	ck.nogoods = make([]ckptNogood, 0, nNg)
-	for i := 0; i < nNg; i++ {
-		limit := d.uvarint()
-		nEnt := d.count(3)
-		entries := make([]pruneEntry, 0, nEnt)
-		for j := 0; j < nEnt; j++ {
-			obs := d.obsKey()
-			entries = append(entries, pruneEntry{obs: obs, d: d.decision()})
-		}
-		ck.nogoods = append(ck.nogoods, ckptNogood{limit: int32(limit), entries: entries})
-	}
+	ck.credits = d.credits()
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -6,6 +6,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -13,13 +17,18 @@ import (
 // drainToVerdict runs a fresh solver from mk under its (deliberately
 // starved) budget, then chains Resume calls — marshaling and
 // unmarshaling the checkpoint at every hop, since the journaled path is
-// the one that must work — until the drain reaches a verdict. It
-// returns the final result and the number of resumes taken.
+// the one that must work — until the drain reaches a verdict. Every leg
+// must make progress: a leg that returns the checkpoint it was given,
+// or one with no more explored tables, fails the test (a drain of such
+// legs never finishes). It returns the final result and the number of
+// resumes taken.
 func drainToVerdict(t *testing.T, mk func() *Solver) (Result, int) {
 	t.Helper()
 	s := mk()
 	res, cp, err := s.SolveContext(context.Background())
 	resumes := 0
+	var prev []byte
+	prevTables := 0
 	for err != nil {
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("resume %d: unexpected error: %v", resumes, err)
@@ -38,13 +47,16 @@ func drainToVerdict(t *testing.T, mk func() *Solver) (Result, int) {
 		if merr != nil {
 			t.Fatalf("resume %d: marshal: %v", resumes, merr)
 		}
+		if bytes.Equal(raw, prev) || res.TablesExplored <= prevTables {
+			t.Fatalf("resume %d: leg made no progress (%d tables, previously %d; checkpoint unchanged: %v)",
+				resumes, res.TablesExplored, prevTables, bytes.Equal(raw, prev))
+		}
+		prev, prevTables = raw, res.TablesExplored
 		restored, uerr := UnmarshalCheckpoint(raw)
 		if uerr != nil {
 			t.Fatalf("resume %d: unmarshal: %v", resumes, uerr)
 		}
-		if resumes++; resumes > 500 {
-			t.Fatalf("drain did not converge after %d resumes (budget below the cost of a single branch?)", resumes)
-		}
+		resumes++
 		s = mk()
 		res, cp, err = s.Resume(context.Background(), restored)
 	}
@@ -115,6 +127,71 @@ func TestResumeAfterBudgetMatchesUninterrupted(t *testing.T) {
 		}
 		t.Logf("(k=%d,n=%d,noPrune=%v): %d resumes, %d tables, %d cumulative units",
 			tc.k, tc.n, tc.noPrune, resumes, res.TablesExplored, res.ExpansionUnits)
+	}
+}
+
+// TestResumedLegsFinishABranch pins the budget's "one branch, then
+// MaxExpansions" rule on the chains that stalled without it. A resumed
+// frontier carries no snapshots, so each leg's first branch re-analyzes
+// from scratch: on (9,5) at cycle cap 16 that branch costs about 3,000
+// units, and on (10,7) about 1,750, both more than the leg budgets
+// below. Each leg must still finish it and advance, and the chains
+// must reach the uninterrupted verdict, tier and TablesExplored.
+func TestResumedLegsFinishABranch(t *testing.T) {
+	for _, tc := range []struct{ n, k, cycle, budget int }{
+		{9, 5, 16, 2000},
+		{10, 7, 0, 60},
+	} {
+		mk := func() *Solver {
+			s := NewSolver(tc.n, tc.k)
+			s.Workers = 1
+			if tc.cycle > 0 {
+				s.MaxCycleLen = tc.cycle
+			}
+			s.MaxExpansions = tc.budget
+			return s
+		}
+		full := mk()
+		full.MaxExpansions = NewSolver(tc.n, tc.k).MaxExpansions
+		straight, err := full.Solve()
+		if err != nil {
+			t.Fatalf("(k=%d,n=%d) uninterrupted: %v", tc.k, tc.n, err)
+		}
+		res, resumes := drainToVerdict(t, mk)
+		checkSameOutcome(t, tc.n, tc.k, "budget-resume", res, straight)
+		t.Logf("(k=%d,n=%d,cycle=%d,budget=%d): %d resumes, %d tables", tc.k, tc.n, tc.cycle, tc.budget, resumes, res.TablesExplored)
+	}
+}
+
+// TestResumeChainProgressRandomized drains random small instances in
+// legs of random budgets, some far below one branch's cost: no leg may
+// return an unchanged checkpoint (drainToVerdict), and every chain
+// reaches the uninterrupted outcome.
+func TestResumeChainProgressRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 24; trial++ {
+		n := 6 + rng.Intn(4)
+		k := 3 + rng.Intn(n-4)
+		cycle := []int{0, 12, 16}[rng.Intn(3)]
+		budget := 1 + rng.Intn(1<<(1+rng.Intn(12)))
+		mk := func() *Solver {
+			s := NewSolver(n, k)
+			s.Workers = 1
+			if cycle > 0 {
+				s.MaxCycleLen = cycle
+			}
+			s.MaxExpansions = budget
+			return s
+		}
+		full := mk()
+		full.MaxExpansions = NewSolver(n, k).MaxExpansions
+		straight, err := full.Solve()
+		if err != nil {
+			t.Fatalf("(k=%d,n=%d) uninterrupted: %v", k, n, err)
+		}
+		res, resumes := drainToVerdict(t, mk)
+		checkSameOutcome(t, n, k, fmt.Sprintf("cycle=%d/budget=%d", cycle, budget), res, straight)
+		t.Logf("trial %d (k=%d,n=%d,cycle=%d,budget=%d): %d resumes, %d tables", trial, k, n, cycle, budget, resumes, res.TablesExplored)
 	}
 }
 
@@ -370,15 +447,13 @@ func TestResumeValidation(t *testing.T) {
 // checkpoint byte streams of single-worker drains: every periodic
 // OnCheckpoint body in order, and for the budget chain also each
 // suspension checkpoint, whose legs resume from the decoded bytes and
-// so carry imported credits and nogoods into their own exports. The
-// digests were recorded before the search read its table and credits
-// by observation id; how the searcher stores those must not change a
-// byte of what it journals. The (11,6) and (10,3) chains were recorded
-// before lasso checks were memoized: (11,6)'s budget trips three times
-// inside a lasso hunt, so a memo hit that charged other than the
-// check's units would move those trips and the bytes after them.
-// (10,3)'s cheap branches trip only at branch-boundary flushes, which
-// still sum every unit the hunts charged.
+// so carry imported credits into their own exports. How the searcher
+// stores its table and credits must not change a byte of what it
+// journals. The (11,6) chain's budget trips inside lasso hunts, so a lasso-memo hit
+// that charged other than the check's units would move those trips and
+// the bytes after them; (10,3)'s cheap branches trip only at
+// branch-boundary flushes, which still sum every unit the hunts
+// charged.
 func TestCheckpointBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -388,11 +463,11 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		wantSuspends int
 		want         string
 	}{
-		{"8,5/every=4", 8, 5, 4, 0, 0, 0, "6cb8bdba065a23944982fb868f8c0f6c1ba994ee0ca0f9bed012d32e745d4c43"},
-		{"9,5/every=8", 9, 5, 8, 0, 0, 0, "eaf355df6366b375cf0d8da4c508bf933a3b55e4463c95c2082e7a4afb4ec6e4"},
-		{"9,5/budget=5000/every=16", 9, 5, 16, 5000, 0, 13, "2ad2cefdfb6c854015a604f7ea7303e497013a32835999f69fdf33bf969e036e"},
-		{"11,6/budget=20000/every=64", 11, 6, 64, 20000, 0, 29, "766d050c9c653763ca75224596309a1b9b335799500b4f15b7c5e77f131f23c1"},
-		{"10,3/cycle=12/budget=5000/every=16", 10, 3, 16, 5000, 12, 19, "20520c0b155f111916bcafd08895650f817fea6335e3be73785b13bd9c04988e"},
+		{"8,5/every=4", 8, 5, 4, 0, 0, 0, "6e7f3fe395d8191512f4875c0ede99dd721fad8c9ab18f1a01f38d608afeecfb"},
+		{"9,5/every=8", 9, 5, 8, 0, 0, 0, "6edc1cd4768c5b20f1d2ae9c22d4ff94aebc3bdd2f34f49833d066d35d11c9a8"},
+		{"9,5/budget=5000/every=16", 9, 5, 16, 5000, 0, 14, "8dcd18966ed9095ada82bb37dcf5603cb96c84cf138ae8e3c6028859e94be605"},
+		{"11,6/budget=20000/every=64", 11, 6, 64, 20000, 0, 29, "603ae0e6846fe69d61c8240701ea927ca9139a82095b9065e5b04432e0a2df00"},
+		{"10,3/cycle=12/budget=5000/every=16", 10, 3, 16, 5000, 12, 19, "5a3188060dfb9eef04d3de8b649c3548e4191dd65c4d2e6c29e30a70b75f4e0d"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := sha256.New()
@@ -437,5 +512,86 @@ func TestCheckpointBytesPinned(t *testing.T) {
 				t.Errorf("checkpoint stream: %d suspensions, sha256 %s; pinned %d, %s", suspends, got, tc.wantSuspends, tc.want)
 			}
 		})
+	}
+}
+
+// TestLegacyNogoodListsDecode reads a checkpoint and a ShardResult
+// written while the search still kept a subtable nogood memo, both with
+// non-empty nogood lists: an (8,5) drain suspended in tier 0
+// (testdata/legacy-nogoods.ckpt) and its shard 0 of 2 run to refutation
+// (testdata/legacy-nogoods.shard). Both decode, the checkpoint resumes
+// to the uninterrupted verdict and tier, re-encoding writes the same
+// bytes up to an empty nogood list, and a truncated or out-of-range
+// nogood section is still rejected.
+func TestLegacyNogoodListsDecode(t *testing.T) {
+	read := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	// The legacy lists end the encodings, and their last byte is the
+	// decision of the last record's last entry.
+	corrupt := func(raw []byte) map[string][]byte {
+		bad := append([]byte(nil), raw...)
+		bad[len(bad)-1] = byte(DEither) + 1
+		return map[string][]byte{"truncated": raw[:len(raw)-1], "out-of-range decision": bad}
+	}
+	// checkReencoded wants the legacy bytes up to the nogood list, then
+	// a zero count.
+	checkReencoded := func(label string, legacy, re []byte) {
+		n := len(re) - 1
+		if n >= len(legacy) || legacy[n] == 0 || re[n] != 0 || !bytes.Equal(re[:n], legacy[:n]) {
+			t.Errorf("%s: re-encoding is not the legacy prefix plus an empty nogood list", label)
+		}
+	}
+
+	raw := read("legacy-nogoods.ckpt")
+	ck, err := UnmarshalCheckpoint(raw)
+	if err != nil {
+		t.Fatalf("legacy checkpoint: %v", err)
+	}
+	re, err := ck.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReencoded("checkpoint", raw, re)
+	for label, bad := range corrupt(raw) {
+		if _, err := UnmarshalCheckpoint(bad); err == nil {
+			t.Errorf("checkpoint with a %s nogood section decoded", label)
+		}
+	}
+	s := NewSolver(8, 5)
+	s.Workers = 1
+	res, cp, err := s.Resume(context.Background(), ck)
+	if err != nil || cp != nil {
+		t.Fatalf("resuming the legacy checkpoint: %v (checkpoint returned: %v)", err, cp != nil)
+	}
+	want, err := NewSolver(8, 5).Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Impossible != want.Impossible || res.Tier != want.Tier {
+		t.Errorf("legacy resume: (%v, tier %d), uninterrupted (%v, tier %d)", res.Impossible, res.Tier, want.Impossible, want.Tier)
+	}
+
+	raw = read("legacy-nogoods.shard")
+	r, err := UnmarshalShardResult(raw)
+	if err != nil {
+		t.Fatalf("legacy shard result: %v", err)
+	}
+	if !r.Refuted || r.Prune == nil || len(r.Prune.credits) == 0 {
+		t.Fatalf("legacy shard result: refuted=%v, prune export %+v", r.Refuted, r.Prune)
+	}
+	re, err = r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReencoded("shard result", raw, re)
+	for label, bad := range corrupt(raw) {
+		if _, err := UnmarshalShardResult(bad); err == nil {
+			t.Errorf("shard result with a %s nogood section decoded", label)
+		}
 	}
 }

@@ -95,7 +95,7 @@ func checkCredits(t *testing.T, stage string, pr *pruneState, pool []ObsKey, ref
 			t.Fatalf("%s: creditOf(%d) = %d, reference %d", stage, id, got, want)
 		}
 	}
-	got, _ := pr.exportState()
+	got := pr.exportState()
 	want := ref.export()
 	if len(got) != len(want) {
 		t.Fatalf("%s: exported %d credits, reference %d", stage, len(got), len(want))
@@ -127,7 +127,7 @@ func TestCreditStoreMatchesHashReference(t *testing.T) {
 		for i := rng.Intn(5); i > 0; i-- {
 			ref[rng.Uint64()] = 1 + rng.Int63n(50) // an observation not yet numbered
 		}
-		pr.importState(ref.export(), nil)
+		pr.importState(ref.export())
 		checkCredits(t, "imported", pr, pool, ref)
 		add := func() {
 			for i := rng.Intn(2000); i > 0; i-- {

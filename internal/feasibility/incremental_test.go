@@ -211,9 +211,9 @@ func TestLongRunWideRingIncremental(t *testing.T) {
 			s.MaxExpansions = override
 		}
 		res, err := s.Solve()
-		t.Logf("(3,%d): impossible=%v tier=%d tables=%d reused=%d reexpanded=%d memoHits=%d dominated=%d err=%v elapsed=%v",
+		t.Logf("(3,%d): impossible=%v tier=%d tables=%d reused=%d reexpanded=%d dominated=%d err=%v elapsed=%v",
 			tc.n, res.Impossible, res.Tier, res.TablesExplored, res.BranchesReused,
-			res.StatesReexpanded, res.TablesMemoHit, res.BranchesDominated,
+			res.StatesReexpanded, res.BranchesDominated,
 			err, time.Since(t0).Round(time.Millisecond))
 		if err != nil && !errors.Is(err, ErrBudget) {
 			t.Fatalf("(3,%d): unexpected error: %v", tc.n, err)

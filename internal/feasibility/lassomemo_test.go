@@ -228,7 +228,10 @@ func TestLassoMemoMatchesCheck(t *testing.T) {
 
 	// A hit replays its units through the budget: one unit short of a
 	// flush, an exhausted budget trips on the first unit, cached or not.
+	// The budget only trips once the run has finished a branch, so mark
+	// one done.
 	w.ts.maxExpansions = 0
+	w.ts.done.Store(1)
 	w.memo = new(lassoMemo)
 	for i, wantHit := range []bool{false, true} {
 		if hit := probe(w, a); hit != wantHit {

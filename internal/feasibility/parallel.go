@@ -31,9 +31,8 @@ type tableNode struct {
 	snap *branchSnap
 	// openKids counts children enqueued but not yet refuted. When a
 	// refuted child drops it to zero the node itself is refuted and the
-	// closure propagates upward, recording subtree nogoods and
-	// refutation credits along the way (prune.go). Untouched without
-	// pruning.
+	// closure propagates upward, crediting each closed binding's
+	// observation along the way (prune.go). Untouched without pruning.
 	openKids atomic.Int32
 }
 
@@ -219,7 +218,7 @@ type obsChunk [1 << obsChunkBits]ObsKey
 // search carries ids in waiters, obsSets and table chains, and indexes
 // the branch's table view (searcher.decision) and the refutation
 // credits by id, so neither needs a key. The ObsKey is fetched by id
-// only for tie-breaks, nogood hashes and checkpoints. Ids depend on
+// only for tie-breaks, credit hashes and checkpoints. Ids depend on
 // which worker built which obsSet first, so nothing may order by them:
 // every ordering decision goes through ObsKey.Less.
 type obsCache struct {
@@ -356,19 +355,12 @@ type tierSearch struct {
 	// way, only how soon a win-by-collision branch short-circuits.
 	collisionOrder bool
 	// prune is the solve-wide pruning state (observation refutation
-	// credits + the subtable nogood memo), shared by every worker of
-	// every tier; nil under Solver.NoPrune. See prune.go.
-	prune *pruneState
-	// recordNogoods enables nogood recording for this tier. Only
-	// non-final tiers record: a nogood can only ever be consumed by a
-	// *later* tier of the ladder (within one tier the search never
-	// revisits a table, and cousin subtrees assembling supersets of an
-	// interior refutation measure zero across the paper cases), so
-	// recording at the final tier is provably pure overhead.
-	recordNogoods bool
-	starts        []state
-	obs           *obsCache
-	queue         *workQueue
+	// credits), shared by every worker of every tier; nil under
+	// Solver.NoPrune. See prune.go.
+	prune  *pruneState
+	starts []state
+	obs    *obsCache
+	queue  *workQueue
 
 	// ckptEvery, when positive, quiesces the pool for a periodic
 	// checkpoint every that many processed branches; branchHook is the
@@ -377,7 +369,8 @@ type tierSearch struct {
 	ckptEvery  int64
 	branchHook func(int64)
 	// done counts branches fully processed (popped, analyzed, children
-	// pushed) — the checkpoint cadence counter.
+	// pushed) — the checkpoint cadence counter, and what lets the budget
+	// trip (searcher.checkAbort).
 	done atomic.Int64
 
 	expansions atomic.Int64
@@ -395,11 +388,8 @@ type tierSearch struct {
 	// branchesReused counts branches analyzed incrementally from a
 	// parent snapshot.
 	branchesReused atomic.Int64
-	// memoHits counts child branches refuted by the subtable nogood
-	// memo without being enqueued; dominated counts children refuted by
-	// the one-step dominance probe. Both are tree-level prunes: the
-	// branches never reach TablesExplored.
-	memoHits  atomic.Int64
+	// dominated counts child branches refuted by the one-step dominance
+	// probe without being enqueued: they never reach TablesExplored.
 	dominated atomic.Int64
 	stop      atomic.Bool
 

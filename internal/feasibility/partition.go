@@ -22,12 +22,11 @@ import (
 // checkpoint. Second, openKids counts are copied VERBATIM into each
 // shard: a shared ancestor keeps counting children that were assigned
 // to other shards, so a shard's refutation closure (prune.go) stalls
-// at the shard boundary instead of refuting a node whose foreign
-// children are still open — recording such a nogood early would be
-// unsound, and a wrong verdict could follow. The price is that
-// interior refutations spanning shards are not learned as nogoods
-// during the sharded tier (a heuristic loss only); Merge restores the
-// true open counts structurally when it recombines frontiers.
+// at the shard boundary instead of closing — and crediting — a node
+// whose foreign children are still open. The price is that interior
+// refutations spanning shards earn no credit during the sharded tier
+// (a branching-order loss only); Merge restores the true open counts
+// structurally when it recombines frontiers.
 
 // RootCheckpoint captures the solver's initial state — the empty-table
 // root as the sole open branch of the first tier — without running any
@@ -62,8 +61,8 @@ func (ck *Checkpoint) NewSolver() (*Solver, error) {
 // queue order within each shard) and carrying each chunk's ancestor
 // closure. Shard counters are zeroed — a shard reports deltas, and
 // Merge adds them onto this checkpoint's cumulative counters — while
-// the header, tier position, prior survivor, credits and nogoods are
-// replicated so every shard resumes under the full learned state.
+// the header, tier position, prior survivor and credits are replicated
+// so every shard resumes under the full learned state.
 // Fewer than k shards are returned when the frontier is smaller than k.
 func (ck *Checkpoint) Partition(k int) ([]*Checkpoint, error) {
 	if ck == nil {
@@ -98,12 +97,6 @@ func (ck *Checkpoint) Partition(k int) ([]*Checkpoint, error) {
 			hasPrior:  ck.hasPrior,
 			prior:     append([]pruneEntry(nil), ck.prior...),
 			credits:   append([]ckptCredit(nil), ck.credits...),
-		}
-		for _, ng := range ck.nogoods {
-			sh.nogoods = append(sh.nogoods, ckptNogood{
-				limit:   ng.limit,
-				entries: append([]pruneEntry(nil), ng.entries...),
-			})
 		}
 		// Filter the node list in place-order: parents precede children
 		// in ck.nodes, and the closure contains every parent, so the
@@ -149,19 +142,18 @@ type ShardResult struct {
 	// from zeroed counters; Impossible/Tier/SurvivorTable are ignored by
 	// Merge, which derives the verdict itself).
 	Counters Result
-	// Prune carries the shard solver's exported credits and nogoods for
-	// terminal outcomes (a suspended shard's travel inside Suspended
+	// Prune carries the shard solver's exported credits for terminal
+	// outcomes (a suspended shard's travel inside Suspended
 	// instead); nil under NoPrune.
 	Prune *PruneExport
 }
 
-// PruneExport is a solver's exported pruning state — refutation
-// credits and the nogood store — detached from any checkpoint, so a
-// shard with a terminal outcome (which has no checkpoint) can still
-// ship what it learned back to the coordinator.
+// PruneExport is a solver's exported pruning state — its refutation
+// credits — detached from any checkpoint, so a shard with a terminal
+// outcome (which has no checkpoint) can still ship what it learned
+// back to the coordinator.
 type PruneExport struct {
 	credits []ckptCredit
-	nogoods []ckptNogood
 }
 
 // PruneExport snapshots the pruning state of the solver's most recent
@@ -170,8 +162,7 @@ func (s *Solver) PruneExport() *PruneExport {
 	if s.lastPrune == nil {
 		return nil
 	}
-	credits, nogoods := s.lastPrune.exportState()
-	return &PruneExport{credits: credits, nogoods: nogoods}
+	return &PruneExport{credits: s.lastPrune.exportState()}
 }
 
 // shardKind tags the ShardResult encoding.
@@ -208,49 +199,14 @@ func appendPruneExport(b []byte, pe *PruneExport) []byte {
 	if pe == nil {
 		return append(b, 0)
 	}
-	b = append(b, 1)
-	b = binary.AppendUvarint(b, uint64(len(pe.credits)))
-	for _, cr := range pe.credits {
-		b = binary.LittleEndian.AppendUint64(b, cr.hash)
-		b = binary.AppendVarint(b, cr.credit)
-	}
-	b = binary.AppendUvarint(b, uint64(len(pe.nogoods)))
-	for _, ng := range pe.nogoods {
-		b = binary.AppendUvarint(b, uint64(ng.limit))
-		b = binary.AppendUvarint(b, uint64(len(ng.entries)))
-		for _, e := range ng.entries {
-			b = appendEntry(b, e)
-		}
-	}
-	return b
+	return appendCredits(append(b, 1), pe.credits)
 }
 
 func (d *ckptDecoder) pruneExport() *PruneExport {
 	if d.byte() == 0 || d.err != nil {
 		return nil
 	}
-	pe := &PruneExport{}
-	nCred := d.count(9)
-	for i := 0; i < nCred; i++ {
-		raw := d.bytes(8)
-		var h uint64
-		if d.err == nil {
-			h = binary.LittleEndian.Uint64(raw)
-		}
-		pe.credits = append(pe.credits, ckptCredit{hash: h, credit: d.varint()})
-	}
-	nNg := d.count(2)
-	for i := 0; i < nNg; i++ {
-		limit := d.uvarint()
-		nEnt := d.count(3)
-		entries := make([]pruneEntry, 0, nEnt)
-		for j := 0; j < nEnt; j++ {
-			obs := d.obsKey()
-			entries = append(entries, pruneEntry{obs: obs, d: d.decision()})
-		}
-		pe.nogoods = append(pe.nogoods, ckptNogood{limit: int32(limit), entries: entries})
-	}
-	return pe
+	return &PruneExport{credits: d.credits()}
 }
 
 // shardResultMagic versions the ShardResult wire encoding.
@@ -429,16 +385,6 @@ func (ck *Checkpoint) sameShardHeader(sh *Checkpoint) error {
 	return nil
 }
 
-// nogoodKey is the dedup key of a nogood record: its limit plus the
-// entry encoding.
-func nogoodKey(ng ckptNogood) string {
-	b := binary.AppendUvarint(nil, uint64(ng.limit))
-	for _, e := range ng.entries {
-		b = appendEntry(b, e)
-	}
-	return string(b)
-}
-
 // Merge recombines shard outcomes for a checkpoint partitioned into
 // `shards` shards. It is idempotent per shard id — results is allowed
 // to contain duplicates from at-least-once shard execution; the first
@@ -455,8 +401,8 @@ func nogoodKey(ng ckptNogood) string {
 //     frontiers recombine into a same-tier checkpoint.
 //
 // Counters are this checkpoint's cumulative counters plus the deduped
-// shard deltas. Credits merge additively per observation hash; nogood
-// stores union with first-occurrence order. Open-kid counts of the
+// shard deltas. Credits merge additively per observation hash. Open-kid
+// counts of the
 // recombined frontier are recomputed structurally (the shard copies
 // kept counting foreign children by design; see the file comment) —
 // for a partition merged back unchanged this reproduces the original
@@ -521,7 +467,7 @@ func (ck *Checkpoint) Merge(shards int, results []ShardResult) (*Result, *Checkp
 			final.SurvivorTable = surv.Survivor
 			return &final, nil, nil
 		}
-		next, err := ck.advanceTier(surv.Survivor, counters, ck.mergeNogoods(byShard))
+		next, err := ck.AdvanceTier(surv.Survivor, counters, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -604,7 +550,6 @@ func (ck *Checkpoint) Merge(shards int, results []ShardResult) (*Result, *Checkp
 		// as-is so a partition merged back unchanged round-trips exactly.
 	}
 	merged.credits = ck.mergeCredits(byShard)
-	merged.nogoods = ck.mergeNogoods(byShard)
 	return nil, merged, nil
 }
 
@@ -655,54 +600,15 @@ func (ck *Checkpoint) mergeCredits(byShard []*ShardResult) []ckptCredit {
 	return merged
 }
 
-// mergeNogoods unions the base nogood store with every shard's, in
-// first-occurrence order (base first, then shards by id), dropping
-// duplicates. Every record is sound wherever it was learned — nogoods
-// depend only on the game, not on the shard cut.
-func (ck *Checkpoint) mergeNogoods(byShard []*ShardResult) []ckptNogood {
-	seen := make(map[string]bool)
-	var merged []ckptNogood
-	add := func(ngs []ckptNogood) {
-		for _, ng := range ngs {
-			key := nogoodKey(ng)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			merged = append(merged, ckptNogood{
-				limit:   ng.limit,
-				entries: append([]pruneEntry(nil), ng.entries...),
-			})
-		}
-	}
-	add(ck.nogoods)
-	for _, r := range byShard {
-		switch {
-		case r.Suspended != nil:
-			add(r.Suspended.nogoods)
-		case r.Prune != nil:
-			add(r.Prune.nogoods)
-		}
-	}
-	return merged
-}
-
 // AdvanceTier builds the checkpoint of the ladder's next tier after
 // this checkpoint's tier produced a survivor: a fresh root frontier at
-// tierIndex+1, the survivor as the prior, cumulative counters carried
-// forward, and the solver's exported nogoods (credits reset — they are
-// per-tier statistics, exactly as an uninterrupted solve resets them
-// at escalation). The drain-pool coordinator uses this when its
-// in-process frontier expansion finishes a tier.
+// tierIndex+1, the survivor as the prior, and cumulative counters
+// carried forward. Credits start empty — they are per-tier statistics,
+// exactly as an uninterrupted solve resets them at escalation — so
+// nothing of the finished tier's pruning state carries over, and prune
+// is ignored. The drain-pool coordinator uses this when its in-process
+// frontier expansion finishes a tier.
 func (ck *Checkpoint) AdvanceTier(survivor Table, counters Result, prune *PruneExport) (*Checkpoint, error) {
-	var nogoods []ckptNogood
-	if prune != nil {
-		nogoods = prune.nogoods
-	}
-	return ck.advanceTier(survivor, counters, nogoods)
-}
-
-func (ck *Checkpoint) advanceTier(survivor Table, counters Result, nogoods []ckptNogood) (*Checkpoint, error) {
 	if survivor == nil {
 		return nil, errors.New("feasibility: advancing a tier requires a survivor")
 	}
@@ -710,7 +616,7 @@ func (ck *Checkpoint) advanceTier(survivor Table, counters Result, nogoods []ckp
 		return nil, errors.New("feasibility: no tier to advance to")
 	}
 	counters.SurvivorTable = nil
-	next := &Checkpoint{
+	return &Checkpoint{
 		version:   ck.version,
 		inst:      ck.inst,
 		modes:     ck.modes,
@@ -720,12 +626,5 @@ func (ck *Checkpoint) advanceTier(survivor Table, counters Result, nogoods []ckp
 		prior:     tableEntries(survivor),
 		nodes:     []ckptNode{{parent: -1}},
 		frontier:  []int32{0},
-	}
-	for _, ng := range nogoods {
-		next.nogoods = append(next.nogoods, ckptNogood{
-			limit:   ng.limit,
-			entries: append([]pruneEntry(nil), ng.entries...),
-		})
-	}
-	return next, nil
+	}, nil
 }

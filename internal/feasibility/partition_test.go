@@ -48,7 +48,7 @@ func collectSuspendedCheckpoints(t *testing.T, mk func() *Solver, rng *rand.Rand
 // both survivor-escalating and impossibility-bound instances, with and
 // without pruning state), partitioning and immediately merging the
 // untouched shards reproduces the original checkpoint byte-for-byte —
-// frontier, node order, openKids, counters, credits and nogoods.
+// frontier, node order, openKids, counters and credits.
 func TestPartitionMergeRoundTrip(t *testing.T) {
 	cases := []struct {
 		n, k    int
@@ -183,7 +183,7 @@ func shardedDrainForTest(t *testing.T, ck *Checkpoint, shards, budget int, rng *
 // identical verdict and tier as an uninterrupted single-process solve,
 // with a survivor (when one exists) that survives re-analysis.
 // TablesExplored is NOT asserted across the shard cut: cross-shard
-// nogood timing and survivor cancellation make it schedule-dependent,
+// credit timing and survivor cancellation make it schedule-dependent,
 // the same caveat multi-worker resumes already carry.
 func TestShardedDrainMatchesSingleProcess(t *testing.T) {
 	cases := []struct {

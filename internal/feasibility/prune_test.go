@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"ringrobots/internal/config"
 )
 
 // solvePruneMode runs a fresh single-worker solver with the pruning
@@ -45,9 +43,8 @@ func checkPruneAgrees(t *testing.T, n, k int, tune func(*Solver)) (pruned, oracl
 	if (pruned.SurvivorTable == nil) != (oracle.SurvivorTable == nil) {
 		t.Errorf("(k=%d,n=%d): survivor existence differs between modes", k, n)
 	}
-	if oracle.TablesMemoHit != 0 || oracle.BranchesDominated != 0 {
-		t.Errorf("(k=%d,n=%d): NoPrune mode reports pruning work (%d memo hits, %d dominated)",
-			k, n, oracle.TablesMemoHit, oracle.BranchesDominated)
+	if oracle.BranchesDominated != 0 {
+		t.Errorf("(k=%d,n=%d): NoPrune mode reports pruning work (%d dominated)", k, n, oracle.BranchesDominated)
 	}
 	for _, res := range []Result{pruned, oracle} {
 		if res.SurvivorTable == nil {
@@ -120,11 +117,11 @@ func TestPruneMatchesNoPruneTheorem5(t *testing.T) {
 	for _, f := range PaperFigures() {
 		t0 := time.Now()
 		pruned, oracle := checkPruneAgrees(t, f.N, f.K, nil)
-		t.Logf("Figure %d (k=%d,n=%d): impossible=%v tier=%d; tables pruned=%d unpruned=%d (%.1fx), memoHits=%d dominated=%d, in %v",
+		t.Logf("Figure %d (k=%d,n=%d): impossible=%v tier=%d; tables pruned=%d unpruned=%d (%.1fx), dominated=%d, in %v",
 			f.Figure, f.K, f.N, pruned.Impossible, pruned.Tier,
 			pruned.TablesExplored, oracle.TablesExplored,
 			float64(oracle.TablesExplored)/float64(pruned.TablesExplored),
-			pruned.TablesMemoHit, pruned.BranchesDominated,
+			pruned.BranchesDominated,
 			time.Since(t0).Round(time.Millisecond))
 		switch {
 		case f.K == 5 && f.N == 8:
@@ -181,8 +178,8 @@ func TestPruneWallClock58(t *testing.T) {
 }
 
 // TestPruneDeterministicAcrossWorkers checks that the shared pruning
-// state — refutation credits and the nogood memo mutate concurrently
-// under the worker pool — never makes the *verdict* schedule-dependent:
+// state — refutation credits mutate concurrently under the worker
+// pool — never makes the *verdict* schedule-dependent:
 // verdicts, tiers and survivor existence are identical for every worker
 // count, reported survivors hold under re-analysis in the solver's own
 // (quotient) mode, and the single-worker search stays bit-reproducible
@@ -209,7 +206,6 @@ func TestPruneDeterministicAcrossWorkers(t *testing.T) {
 		par := solveWorkers(t, tc.n, tc.k, parallel)
 		if seq.Impossible != seq2.Impossible || seq.Tier != seq2.Tier ||
 			seq.TablesExplored != seq2.TablesExplored ||
-			seq.TablesMemoHit != seq2.TablesMemoHit ||
 			seq.BranchesDominated != seq2.BranchesDominated {
 			t.Errorf("(k=%d,n=%d): sequential pruned runs disagree: %+v vs %+v", tc.k, tc.n, seq, seq2)
 		}
@@ -224,139 +220,6 @@ func TestPruneDeterministicAcrossWorkers(t *testing.T) {
 			if res.SurvivorTable != nil && !survivorHoldsMode(NewSolver(tc.n, tc.k), res.Tier, res.SurvivorTable) {
 				t.Errorf("(k=%d,n=%d): reported survivor table does not survive re-analysis", tc.k, tc.n)
 			}
-		}
-	}
-}
-
-// --- nogood store -------------------------------------------------------------
-
-func ngKey(lo, hi config.View) ObsKey { return ObsKey{Lo: config.KeyOf(lo), Hi: config.KeyOf(hi)} }
-
-// ngHit wraps nogoodHit with the per-branch precomputation the searcher
-// performs, binding t as a fresh searcher's table.
-func ngHit(pr *pruneState, limit int, t Table, xo ObsKey, xd Decision) bool {
-	w := newSearcher(&tierSearch{obs: pr.obs})
-	nd := bindTable(w, t)
-	sig, hashes := tableSigAndAnchors(nd, pr.obs, nil)
-	return pr.nogoodHit(w, limit, sig, hashes, pr.obs.idOf(xo), xo, xd)
-}
-
-// ngRecord wraps recordNogood, numbering the entries' observations in
-// pr's obsCache as closeRefuted's chains and importState do.
-func ngRecord(pr *pruneState, limit int, entries []pruneEntry) {
-	ids := make([]int32, len(entries))
-	for i, e := range entries {
-		ids[i] = pr.obs.idOf(e.obs)
-	}
-	pr.recordNogood(limit, entries, ids)
-}
-
-// TestNogoodStoreSubsetSemantics pins the memo's contract directly:
-// a lookup hits exactly when the candidate table (plus its new binding)
-// contains a recorded nogood whose pending limit is not above the
-// query's.
-func TestNogoodStoreSubsetSemantics(t *testing.T) {
-	pr := newPruneState(newObsCache(8))
-	o := func(i int) ObsKey {
-		return ngKey(config.View{0, i, 1}, config.View{1, i, 0})
-	}
-	mk := func(pairs ...int) []pruneEntry {
-		var es []pruneEntry
-		for i := 0; i+1 < len(pairs); i += 2 {
-			e := pruneEntry{obs: o(pairs[i]), d: Decision(pairs[i+1])}
-			j := len(es)
-			es = append(es, e)
-			for j > 0 && e.obs.Less(es[j-1].obs) {
-				es[j] = es[j-1]
-				j--
-			}
-			es[j] = e
-		}
-		return es
-	}
-	// Nogood {o1:stay, o3:lo} refuted at limit 0.
-	ngRecord(pr, 0, mk(1, int(DStay), 3, int(DTowardLo)))
-
-	tab := Table{o(1): DStay}
-	// Adding o3:lo completes the superset: hit at limit 0 and above.
-	if !ngHit(pr, 0, tab, o(3), DTowardLo) {
-		t.Error("superset with matching binding missed")
-	}
-	if !ngHit(pr, 2, tab, o(3), DTowardLo) {
-		t.Error("nogood from a lower limit must prune at a higher one")
-	}
-	// Wrong decision on the new binding: no hit.
-	if ngHit(pr, 0, tab, o(3), DTowardHi) {
-		t.Error("hit despite mismatched decision on the new binding")
-	}
-	// Missing entry: no hit.
-	empty := Table{}
-	if ngHit(pr, 0, empty, o(3), DTowardLo) {
-		t.Error("hit despite missing o1 entry")
-	}
-	// Entry with conflicting decision: no hit.
-	conflict := Table{o(1): DTowardLo}
-	if ngHit(pr, 0, conflict, o(3), DTowardLo) {
-		t.Error("hit despite conflicting o1 decision")
-	}
-	// Superset through extra entries still hits.
-	big := Table{o(1): DStay, o(2): DEither, o(5): DStay}
-	if !ngHit(pr, 0, big, o(3), DTowardLo) {
-		t.Error("superset with extra entries missed")
-	}
-	// A nogood recorded at a higher limit must not prune a lower one
-	// (a stronger adversary's win proves nothing about a weaker one).
-	ngRecord(pr, 2, mk(2, int(DStay), 4, int(DEither)))
-	tab2 := Table{o(2): DStay}
-	if ngHit(pr, 0, tab2, o(4), DEither) {
-		t.Error("limit-2 nogood pruned a limit-0 query")
-	}
-	if !ngHit(pr, 2, tab2, o(4), DEither) {
-		t.Error("limit-2 nogood missed at its own limit")
-	}
-}
-
-// TestNogoodStoreBounds exercises the chain cap and the epoch-style
-// shard clear: overflowing records are dropped (never wrongly matched),
-// and the store keeps answering correctly after saturation.
-func TestNogoodStoreBounds(t *testing.T) {
-	pr := newPruneState(newObsCache(8))
-	anchor := ngKey(config.View{0, 9, 1}, config.View{1, 9, 0})
-	vary := func(i int) ObsKey {
-		return ngKey(config.View{0, i, 2}, config.View{2, i, 0})
-	}
-	// All these nogoods share the anchor (the maximal entry is sorted
-	// last deterministically only per-content, so build them as
-	// {vary(i), anchor} sorted).
-	recorded := 0
-	for i := 0; i < 4*nogoodChainCap; i++ {
-		a := pruneEntry{obs: vary(i), d: DStay}
-		b := pruneEntry{obs: anchor, d: DTowardLo}
-		es := []pruneEntry{a, b}
-		if b.obs.Less(a.obs) {
-			es = []pruneEntry{b, a}
-		}
-		ngRecord(pr, 0, es)
-		recorded++
-	}
-	hits := 0
-	for i := 0; i < 4*nogoodChainCap; i++ {
-		tab := Table{vary(i): DStay}
-		if ngHit(pr, 0, tab, anchor, DTowardLo) {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Error("saturated chain answers nothing")
-	}
-	if hits > recorded {
-		t.Errorf("more hits (%d) than recorded nogoods (%d)", hits, recorded)
-	}
-	// Wrong-decision queries never hit regardless of saturation.
-	for i := 0; i < 4*nogoodChainCap; i++ {
-		tab := Table{vary(i): DStay}
-		if ngHit(pr, 0, tab, anchor, DTowardHi) {
-			t.Fatal("saturated chain produced a false positive")
 		}
 	}
 }

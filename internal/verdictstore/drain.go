@@ -102,7 +102,7 @@ func (st *Store) Drain(ctx context.Context, key string, inst feasibility.Instanc
 		log.Info("resuming", "inst", inst.String(), "tier", s.Tier, "tier_index", s.TierIndex,
 			"frontier", s.FrontierNodes, "depth_min", s.FrontierDepthMin, "depth_max", s.FrontierDepthMax,
 			"tables", s.TablesExplored, "units", s.ExpansionUnits, "credits", s.Credits,
-			"nogoods", s.Nogoods, "survivor", s.HasPriorSurvivor)
+			"survivor", s.HasPriorSurvivor)
 		res, cp, err = sol.Resume(ctx, from)
 	} else {
 		res, cp, err = sol.SolveContext(ctx)
