@@ -6,14 +6,22 @@
 // (feasibility.Merge) into the next generation's checkpoint or the
 // final verdict.
 //
+// The coordinator waits on events, not on a clock: a launched worker's
+// exit makes it read that shard's journal for the result, and the
+// generation merges as soon as the last result is in. A timer wakes it
+// only for liveness checks (every Heartbeat: a stat of each running
+// shard journal for growth), lease deadlines and backoff expiries.
+//
 // Fault model: everything may crash. Workers run at-least-once — a
 // crashed, wedged or lease-expired worker is reassigned with capped
 // exponential backoff, and the merge step dedupes per shard id, so a
-// slow twin finishing late is harmless. The coordinator journals its
-// state (partition, leases, shard completions, verdict) through
-// internal/journal; a coordinator killed -9 recovers the lease table
-// on reopen, adopts workers that are still alive (their shard-journal
-// flocks make them observable), and re-derives everything else
+// slow twin finishing late is harmless. A worker whose journal stops
+// growing loses its lease within Lease + Heartbeat of its last append.
+// The coordinator journals its state (partition, leases, shard
+// completions, verdict) through internal/journal; a coordinator killed
+// -9 recovers the lease table on reopen, adopts workers that are still
+// alive (their shard-journal flocks make them observable, and a dropped
+// flock stands in for their exit), and re-derives everything else
 // deterministically from the partition record. The pool journal's own
 // flock guarantees a single live coordinator per directory.
 package drainpool
@@ -71,10 +79,12 @@ type Config struct {
 	// MaxProcs caps concurrently running workers (0: Shards).
 	MaxProcs int
 	// Lease is how long a worker may go without journal growth before
-	// its lease expires and the shard is reassigned (0: 30s).
+	// its lease expires, its process is killed and the shard is
+	// reassigned (0: 30s). The coordinator looks for growth every
+	// Heartbeat, so a wedged worker loses its lease within Lease +
+	// Heartbeat of its last append. A worker that exits is collected at
+	// once, whatever the lease.
 	Lease time.Duration
-	// Poll is the coordinator's monitoring cadence (0: 150ms).
-	Poll time.Duration
 	// WorkerBudget bounds each worker leg's expansion units (0:
 	// unlimited — shards run to their outcome).
 	WorkerBudget int
@@ -83,8 +93,10 @@ type Config struct {
 	CheckpointEvery int
 	// SolverWorkers sizes each worker's in-process search pool (0: 1).
 	SolverWorkers int
-	// Heartbeat is the workers' liveness-append cadence (0: Lease/4,
-	// capped at 1s).
+	// Heartbeat is the workers' liveness-append cadence and the
+	// coordinator's liveness-check cadence (0: Lease/4, capped at 1s).
+	// A check stats each running shard journal for growth and probes
+	// the flock of each adopted orphan.
 	Heartbeat time.Duration
 	// MaxAttempts bounds attempts per shard per generation (0: 8).
 	MaxAttempts int
@@ -114,9 +126,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Lease <= 0 {
 		cfg.Lease = 30 * time.Second
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 150 * time.Millisecond
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 64
@@ -423,7 +432,7 @@ func (c *coordinator) expand(ctx context.Context) (final *feasibility.Result, er
 			if st.TierIndex == st.TierCount-1 {
 				return &res, nil
 			}
-			next, aerr := c.base.AdvanceTier(res.SurvivorTable, res, s.PruneExport())
+			next, aerr := c.base.AdvanceTier(res.SurvivorTable, res)
 			if aerr != nil {
 				return nil, aerr
 			}
@@ -447,125 +456,215 @@ type worker struct {
 	shard    int
 	attempt  int
 	cmd      *exec.Cmd
-	exitCh   chan error
-	exited   bool
+	exited   chan struct{} // closed once a launched worker's process is reaped
 	adopted  bool
 	pid      int
 	lastSize int64
-	deadline time.Time
+	deadline time.Time // lease expiry: Lease after journal growth was last seen
 }
 
+// generation is one runGeneration's state: which shards wait for a
+// worker, which run, and when a lost shard may relaunch.
+type generation struct {
+	c            *coordinator
+	parts        []*feasibility.Checkpoint
+	pending      map[int]bool
+	running      map[int]*worker
+	backoffUntil map[int]time.Time
+	exits        chan *worker  // fan-in of launched workers' exits
+	gone         chan struct{} // closed when runGeneration returns
+}
+
+// runGeneration runs every shard of parts that has no result yet. It
+// sleeps until a launched worker exits, the context ends, or one timer
+// fires for the nearest liveness check (every Heartbeat), lease
+// deadline or backoff expiry. A shard journal is read for its result
+// once: when its launched worker exits, or when an adopted orphan drops
+// its flock or loses its lease.
 func (c *coordinator) runGeneration(ctx context.Context, parts []*feasibility.Checkpoint) error {
-	pending := map[int]bool{}
+	g := &generation{
+		c:            c,
+		parts:        parts,
+		pending:      map[int]bool{},
+		running:      map[int]*worker{},
+		backoffUntil: map[int]time.Time{},
+		exits:        make(chan *worker),
+		gone:         make(chan struct{}),
+	}
 	for shard := range parts {
 		if _, ok := c.done[shard]; !ok {
-			pending[shard] = true
+			g.pending[shard] = true
 		}
 	}
-	running := map[int]*worker{}
-	backoffUntil := map[int]time.Time{}
 	defer func() {
-		for _, w := range running {
+		close(g.gone)
+		for _, w := range g.running {
 			c.killWorker(w)
 		}
 	}()
+	nextCheck := time.Now().Add(c.cfg.Heartbeat)
 	for len(c.done) < len(parts) {
 		if ctx.Err() != nil {
 			c.cfg.Logf("context canceled; suspending generation %d (%d/%d shards done)", c.gen, len(c.done), len(parts))
 			return fmt.Errorf("%w: %w", ErrSuspended, ctx.Err())
 		}
-		// Launch (or adopt) work for pending shards, lowest id first.
-		ids := make([]int, 0, len(pending))
-		for shard := range pending {
-			ids = append(ids, shard)
+		if err := g.launch(); err != nil {
+			return err
 		}
-		sort.Ints(ids)
-		now := time.Now()
-		for _, shard := range ids {
-			if len(running) >= c.cfg.MaxProcs {
-				break
+		var err error
+		timer := time.NewTimer(time.Until(g.nextWake(nextCheck)))
+		select {
+		case <-ctx.Done():
+		case w := <-g.exits:
+			if g.running[w.shard] == w { // else it was collected at lease expiry
+				err = g.collect(w)
 			}
-			if now.Before(backoffUntil[shard]) {
+		case <-timer.C:
+			err = g.checkLiveness()
+			nextCheck = time.Now().Add(c.cfg.Heartbeat)
+		}
+		timer.Stop()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// launch starts (or adopts) work for pending shards, lowest id first,
+// while MaxProcs allows and their backoff has run out.
+func (g *generation) launch() error {
+	c := g.c
+	ids := make([]int, 0, len(g.pending))
+	for shard := range g.pending {
+		ids = append(ids, shard)
+	}
+	sort.Ints(ids)
+	now := time.Now()
+	for _, shard := range ids {
+		if len(g.running) >= c.cfg.MaxProcs {
+			break
+		}
+		if now.Before(g.backoffUntil[shard]) {
+			continue
+		}
+		w, err := c.startShard(g.parts, shard)
+		if err != nil {
+			return err
+		}
+		if w == nil { // launch failed; backoff like a crash
+			c.noteCrash(shard, g.backoffUntil)
+			if c.attempts[shard] >= c.cfg.MaxAttempts {
+				return fmt.Errorf("drainpool: shard %d failed to launch after %d attempts", shard, c.attempts[shard])
+			}
+			continue
+		}
+		if !w.adopted {
+			go g.reap(w)
+		}
+		g.running[shard] = w
+		delete(g.pending, shard)
+	}
+	return nil
+}
+
+// reap waits for a launched worker's process to end and reports it on
+// exits, unless the generation has ended first. The exit status does
+// not matter: the shard journal says whether the worker finished.
+func (g *generation) reap(w *worker) {
+	_ = w.cmd.Wait()
+	close(w.exited)
+	select {
+	case g.exits <- w:
+	case <-g.gone:
+	}
+}
+
+// nextWake is the earliest of the next liveness check, a running
+// worker's lease deadline and, while MaxProcs leaves room to launch, a
+// pending shard's backoff expiry. Once MaxProcs is reached, only an exit
+// or a liveness check frees a slot.
+func (g *generation) nextWake(nextCheck time.Time) time.Time {
+	wake := nextCheck
+	for _, w := range g.running {
+		if w.deadline.Before(wake) {
+			wake = w.deadline
+		}
+	}
+	if len(g.running) < g.c.cfg.MaxProcs {
+		for shard := range g.pending {
+			if t := g.backoffUntil[shard]; t.Before(wake) {
+				wake = t
+			}
+		}
+	}
+	return wake
+}
+
+// checkLiveness extends the lease of every running worker whose shard
+// journal grew since the last check, collects adopted orphans that
+// dropped their flock, and kills and collects workers past their lease
+// deadline. A check stats each journal; it reads none.
+func (g *generation) checkLiveness() error {
+	c := g.c
+	now := time.Now()
+	for shard, w := range g.running {
+		path := shardJournalPath(c.cfg.Dir, c.gen, shard)
+		if w.adopted {
+			if _, locked := journal.LockHolder(path); !locked {
+				if err := g.collect(w); err != nil {
+					return err
+				}
 				continue
 			}
-			w, err := c.startShard(parts, shard)
-			if err != nil {
+		}
+		if fi, err := os.Stat(path); err == nil && fi.Size() > w.lastSize {
+			// Journal growth is the liveness signal: extend the lease.
+			w.lastSize = fi.Size()
+			w.deadline = now.Add(c.cfg.Lease)
+			if err := c.plog.Append(encPoolHeartbeat(c.gen, shard, w.lastSize)); err != nil {
 				return err
 			}
-			if w == nil { // launch failed; backoff like a crash
-				c.noteCrash(shard, backoffUntil)
-				if c.attempts[shard] >= c.cfg.MaxAttempts {
-					return fmt.Errorf("drainpool: shard %d failed to launch after %d attempts", shard, c.attempts[shard])
-				}
-				continue
-			}
-			running[shard] = w
-			delete(pending, shard)
+			continue
 		}
-		// Monitor running workers.
-		for shard, w := range running {
-			path := shardJournalPath(c.cfg.Dir, c.gen, shard)
-			if !w.adopted && !w.exited {
-				select {
-				case <-w.exitCh:
-					w.exited = true
-				default:
-				}
-			}
-			res, size := c.scanShardResult(path)
-			if res != nil {
-				raw, err := res.MarshalBinary()
-				if err != nil {
-					return err
-				}
-				if err := c.plog.Append(encDone(c.gen, shard, raw)); err != nil {
-					return err
-				}
-				c.done[shard] = *res
-				delete(running, shard)
-				if !w.adopted && !w.exited {
-					// Result journaled but the process is still flushing;
-					// it owes nothing more.
-					go func(w *worker) { <-w.exitCh }(w)
-				}
-				c.cfg.Logf("generation %d: shard %d done (%d/%d)", c.gen, shard, len(c.done), len(parts))
-				continue
-			}
-			if size > w.lastSize {
-				// Journal growth is the liveness signal: extend the lease.
-				w.lastSize = size
-				w.deadline = time.Now().Add(c.cfg.Lease)
-				if err := c.plog.Append(encPoolHeartbeat(c.gen, shard, size)); err != nil {
-					return err
-				}
-				continue
-			}
-			crashed := false
-			if w.adopted {
-				if _, locked := journal.LockHolder(path); !locked {
-					crashed = true // the orphan died without a result
-				}
-			} else if w.exited {
-				crashed = true
-			}
-			if !crashed && time.Now().After(w.deadline) {
-				c.cfg.Logf("generation %d: shard %d lease expired (no journal growth for %v); killing holder", c.gen, shard, c.cfg.Lease)
-				c.killWorker(w)
-				crashed = true
-			}
-			if crashed {
-				delete(running, shard)
-				pending[shard] = true
-				c.noteCrash(shard, backoffUntil)
-				if c.attempts[shard] >= c.cfg.MaxAttempts {
-					return fmt.Errorf("drainpool: shard %d of generation %d failed %d attempts; giving up (no shard is silently lost)",
-						shard, c.gen, c.attempts[shard])
-				}
-				c.cfg.Logf("generation %d: shard %d worker lost (attempt %d); reassigning after backoff", c.gen, shard, c.attempts[shard])
-			}
+		if now.Before(w.deadline) {
+			continue
 		}
-		time.Sleep(c.cfg.Poll)
+		c.cfg.Logf("generation %d: shard %d lease expired (no journal growth for %v); killing holder", c.gen, shard, c.cfg.Lease)
+		c.killWorker(w)
+		if err := g.collect(w); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// collect reads the shard's result once its worker is gone (exited,
+// killed at lease expiry, or an orphan that dropped its flock). It
+// journals the result, or marks the shard lost and arms its backoff.
+func (g *generation) collect(w *worker) error {
+	c := g.c
+	shard := w.shard
+	delete(g.running, shard)
+	if res := c.readShardResult(shardJournalPath(c.cfg.Dir, c.gen, shard)); res != nil {
+		raw, err := res.MarshalBinary()
+		if err != nil {
+			return err
+		}
+		if err := c.plog.Append(encDone(c.gen, shard, raw)); err != nil {
+			return err
+		}
+		c.done[shard] = *res
+		c.cfg.Logf("generation %d: shard %d done (%d/%d)", c.gen, shard, len(c.done), len(g.parts))
+		return nil
+	}
+	g.pending[shard] = true
+	c.noteCrash(shard, g.backoffUntil)
+	if c.attempts[shard] >= c.cfg.MaxAttempts {
+		return fmt.Errorf("drainpool: shard %d of generation %d failed %d attempts; giving up (no shard is silently lost)",
+			shard, c.gen, c.attempts[shard])
+	}
+	c.cfg.Logf("generation %d: shard %d worker lost (attempt %d); reassigning after backoff", c.gen, shard, c.attempts[shard])
 	return nil
 }
 
@@ -614,11 +713,10 @@ func (c *coordinator) startShard(parts []*feasibility.Checkpoint, shard int) (*w
 		c.cfg.Logf("generation %d: shard %d attempt %d failed to start: %v", c.gen, shard, attempt, err)
 		return nil, nil
 	}
-	w := &worker{shard: shard, attempt: attempt, cmd: cmd, exitCh: make(chan error, 1), deadline: deadline}
+	w := &worker{shard: shard, attempt: attempt, cmd: cmd, exited: make(chan struct{}), deadline: deadline}
 	if fi, err := os.Stat(path); err == nil {
 		w.lastSize = fi.Size()
 	}
-	go func() { w.exitCh <- cmd.Wait() }()
 	return w, nil
 }
 
@@ -667,25 +765,24 @@ func (c *coordinator) seedShardJournal(path string, ck *feasibility.Checkpoint, 
 	return log.Append(encShardCkpt(raw))
 }
 
-// scanShardResult reads the shard journal lock-free and returns its
-// terminal result, if any, plus the current valid size (the liveness
-// measure).
-func (c *coordinator) scanShardResult(path string) (*feasibility.ShardResult, int64) {
+// readShardResult reads the shard journal lock-free and returns its
+// terminal result, if any.
+func (c *coordinator) readShardResult(path string) *feasibility.ShardResult {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0
+		return nil
 	}
-	recs, valid := journal.Scan(buf)
+	recs, _ := journal.Scan(buf)
 	for i := len(recs) - 1; i >= 0; i-- {
 		if len(recs[i]) > 0 && recs[i][0] == recShardDone {
 			r, err := feasibility.UnmarshalShardResult(recs[i][1:])
 			if err == nil {
-				return r, int64(valid)
+				return r
 			}
 			c.cfg.Logf("warning: %s has an undecodable result record: %v", path, err)
 		}
 	}
-	return nil, int64(valid)
+	return nil
 }
 
 // noteCrash arms the capped exponential backoff (with jitter) before
@@ -711,15 +808,11 @@ func (c *coordinator) killWorker(w *worker) {
 		}
 		return
 	}
-	if w.exited || w.cmd == nil || w.cmd.Process == nil {
-		return
-	}
 	w.cmd.Process.Kill()
 	select {
-	case <-w.exitCh:
+	case <-w.exited:
 	case <-time.After(2 * time.Second):
 	}
-	w.exited = true
 }
 
 // cleanupGeneration removes the merged generation's shard journals

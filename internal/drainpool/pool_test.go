@@ -1,6 +1,7 @@
 package drainpool
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -80,7 +81,10 @@ func (p *launchPlan) launch(spec WorkerSpec) *exec.Cmd {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestPoolWorkerHelper$")
+	// A race-built helper sleeps 1s at exit unless told otherwise, and
+	// the coordinator collects a shard when its worker exits.
 	env := append(os.Environ(),
+		"GORACE=atexit_sleep_ms=0",
 		envWorker+"=1",
 		envJournal+"="+spec.JournalPath,
 		fmt.Sprintf("%s=%d", envBudget, spec.Budget),
@@ -137,7 +141,6 @@ func testConfig(dir string, inst feasibility.Instance, plan *launchPlan) Config 
 		Instance:        inst,
 		Shards:          3,
 		Lease:           10 * time.Second,
-		Poll:            20 * time.Millisecond,
 		CheckpointEvery: 4,
 		BackoffBase:     time.Millisecond,
 		BackoffCap:      20 * time.Millisecond,
@@ -205,6 +208,143 @@ func TestPoolRandomWorkerCrashes(t *testing.T) {
 		t.Fatalf("pool run with crashing workers: %v", err)
 	}
 	checkAgainstOracle(t, got, want)
+}
+
+// TestPoolCollectsOnExit crashes the first attempt of every shard
+// under a lease and heartbeat of an hour, so no liveness check or lease
+// deadline comes due during the run: worker exits alone must drive
+// result collection and reassignment.
+func TestPoolCollectsOnExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess drain pool in -short mode")
+	}
+	inst := feasibility.Instance{N: 8, K: 5}
+	want := oracleVerdict(t, inst)
+	plan := &launchPlan{}
+	plan.crashAfter = func(spec WorkerSpec) int64 {
+		if spec.Attempt == 1 {
+			return 5
+		}
+		return 0
+	}
+	cfg := testConfig(t.TempDir(), inst, plan)
+	cfg.Lease = time.Hour
+	cfg.Heartbeat = time.Hour
+	lost := 0 // Logf runs on Run's goroutine
+	cfg.Logf = func(format string, args ...any) {
+		if strings.Contains(format, "worker lost") {
+			lost++
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	got, err := Run(ctx, cfg)
+	if err != nil {
+		t.Fatalf("pool run with hour-long leases: %v", err)
+	}
+	checkAgainstOracle(t, got, want)
+	if lost == 0 {
+		t.Fatal("no first attempt crashed, so no reassignment was exercised")
+	}
+}
+
+// TestNextWakeWhilePoolFull: with MaxProcs workers running, a pending
+// shard cannot launch, so its backoff expiry (or the zero time of a
+// shard that never failed) must not wake the coordinator; waking for it
+// would spin until a slot frees.
+func TestNextWakeWhilePoolFull(t *testing.T) {
+	now := time.Now()
+	check, deadline := now.Add(time.Second), now.Add(2*time.Second)
+	g := &generation{
+		c:            &coordinator{cfg: Config{MaxProcs: 1}},
+		pending:      map[int]bool{1: true, 2: true},
+		running:      map[int]*worker{0: {shard: 0, deadline: deadline}},
+		backoffUntil: map[int]time.Time{2: now.Add(-time.Second)},
+	}
+	if got := g.nextWake(check); !got.Equal(check) {
+		t.Fatalf("pool full: nextWake = %v from now, want the liveness check at %v", got.Sub(now), check.Sub(now))
+	}
+	g.c.cfg.MaxProcs = 2
+	g.backoffUntil = map[int]time.Time{1: now.Add(500 * time.Millisecond), 2: now.Add(700 * time.Millisecond)}
+	if got, want := g.nextWake(check), g.backoffUntil[1]; !got.Equal(want) {
+		t.Fatalf("room to launch: nextWake = %v from now, want the first backoff expiry at %v", got.Sub(now), want.Sub(now))
+	}
+}
+
+// TestRunShardJournalsEveryCheckpoint checks the worker's write-behind
+// checkpoints against an in-process run of the same shard: the shard
+// journal holds every periodic checkpoint, byte for byte and in order
+// (so TablesExplored never decreases), and exactly one result record,
+// last.
+func TestRunShardJournalsEveryCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-g001-s000.journal")
+	seedShardJournal(t, path, 8, 5)
+
+	root, err := feasibility.RootCheckpoint(feasibility.NewSolver(8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := root.NewSolver()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Workers = 1
+	s.StopAfterTier = true
+	s.CheckpointEvery = 2
+	var want [][]byte
+	s.OnCheckpoint = func(cp *feasibility.Checkpoint) error {
+		raw, err := cp.MarshalBinary()
+		want = append(want, raw)
+		return err
+	}
+	if _, _, err := s.Resume(context.Background(), root); err != nil {
+		t.Fatalf("in-process shard run: %v", err)
+	}
+	if len(want) < 3 {
+		t.Fatalf("only %d periodic checkpoints; the shard is too small to test ordering", len(want))
+	}
+
+	if err := RunShard(context.Background(), path, WorkerOptions{CheckpointEvery: 2, Heartbeat: time.Hour}); err != nil {
+		t.Fatalf("RunShard: %v", err)
+	}
+	log, err := journal.Open(path, journal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	var tags []byte
+	var ckpts [][]byte
+	if err := log.ForEach(func(p []byte) error {
+		tags = append(tags, p[0])
+		if p[0] == recShardCkpt {
+			ckpts = append(ckpts, append([]byte(nil), p[1:]...))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(tags, []byte{recShardDone}); n != 1 || tags[len(tags)-1] != recShardDone {
+		t.Fatalf("record tags %q: want exactly one result record, last", tags)
+	}
+	periodic := ckpts[1:] // the first is the seeded root
+	if len(periodic) != len(want) {
+		t.Fatalf("journal holds %d periodic checkpoints, the in-process run took %d", len(periodic), len(want))
+	}
+	prev := -1
+	for i, raw := range periodic {
+		if !bytes.Equal(raw, want[i]) {
+			t.Fatalf("periodic checkpoint %d differs from the in-process run's", i)
+		}
+		ck, err := feasibility.UnmarshalCheckpoint(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tables := ck.Stats().TablesExplored; tables < prev {
+			t.Fatalf("checkpoint %d explored %d tables, after one with %d", i, tables, prev)
+		} else {
+			prev = tables
+		}
+	}
 }
 
 // TestPoolLeaseExpiryReassignment wedges shard 0's first worker: the
@@ -302,7 +442,7 @@ func TestPoolCoordinatorKillRecovery(t *testing.T) {
 	dir := t.TempDir()
 
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestPoolCoordinatorHelper$")
-	cmd.Env = append(os.Environ(), envCoord+"=1", envDir+"="+dir, fmt.Sprintf("%s=%d", envBudget, 60))
+	cmd.Env = append(os.Environ(), "GORACE=atexit_sleep_ms=0", envCoord+"=1", envDir+"="+dir, fmt.Sprintf("%s=%d", envBudget, 60))
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("starting coordinator subprocess: %v", err)

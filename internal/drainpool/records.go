@@ -23,9 +23,10 @@ import (
 // worker holding its flock) holds the shard's identity ('S', seeded by
 // the coordinator together with the initial checkpoint), periodic
 // checkpoints ('C'), worker heartbeats ('H'), and the terminal shard
-// result ('R'). The coordinator reads shard journals lock-free
-// (journal.Scan over a plain read), which is what makes journal growth
-// an honest liveness signal.
+// result ('R'). The coordinator never takes a shard journal's lock: it
+// stats the file for growth, the liveness signal, and reads it
+// (journal.Scan over a plain read) once, for the result, when the
+// worker is gone.
 const (
 	recPartition = 'P'
 	recLease     = 'L'

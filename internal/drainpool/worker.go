@@ -47,14 +47,17 @@ type WorkerOptions struct {
 // if a previous attempt already journaled a result, RunShard returns
 // immediately without recomputing, and a crashed attempt's periodic
 // checkpoints let the next attempt resume mid-shard instead of
-// restarting.
+// restarting. Periodic checkpoints are journaled behind the search
+// (feasibility.WriteBehind): every one but the newest is durable while
+// the shard runs, and all of them precede the result record.
 //
 // Storage failure surrenders the lease instead of wedging: if a
 // heartbeat or checkpoint append fails, the solve is cancelled, the
 // journal closed (releasing the flock — the cross-machine-visible
 // lease token, which a coordinator pid-kill could never reclaim from
-// another host), and RunShard returns the error; the coordinator's
-// normal liveness expiry then reassigns the shard. The terminal
+// another host), and RunShard returns the error; the coordinator sees
+// the worker exit (or, for an adopted worker, drop its flock) and
+// reassigns the shard. The terminal
 // result append is retried a few times with backoff (transient
 // ENOSPC-style errors are rolled back by the journal and safe to
 // retry), except after a sticky fsync failure, where no append on
@@ -126,7 +129,7 @@ func RunShard(ctx context.Context, journalPath string, opt WorkerOptions) error 
 	}
 
 	// journal.Log is single-goroutine; the heartbeat ticker and the
-	// checkpoint callback both append, so serialize them.
+	// checkpoint writer both append, so serialize them.
 	var mu sync.Mutex
 	appendRec := func(p []byte) error {
 		mu.Lock()
@@ -148,20 +151,17 @@ func RunShard(ctx context.Context, journalPath string, opt WorkerOptions) error 
 		failMu.Unlock()
 		cancelRun()
 	}
-	if opt.CheckpointEvery > 0 {
-		s.CheckpointEvery = opt.CheckpointEvery
-		s.OnCheckpoint = func(cp *feasibility.Checkpoint) error {
-			raw, err := cp.MarshalBinary()
-			if err != nil {
-				return err
-			}
-			if err := appendRec(encShardCkpt(raw)); err != nil {
-				noteStorageFailure(err)
-				return err
-			}
-			return nil
+	// Periodic checkpoints are journaled behind the search, one write in
+	// flight; a failed write surrenders at once rather than at the next
+	// barrier.
+	s.CheckpointEvery = opt.CheckpointEvery
+	ckpts := feasibility.WriteBehind(s, func(raw []byte) error {
+		if err := appendRec(encShardCkpt(raw)); err != nil {
+			noteStorageFailure(err)
+			return err
 		}
-	}
+		return nil
+	})
 	if opt.CrashAfterBranches > 0 {
 		s.BranchHook = func(done int64) {
 			if done >= opt.CrashAfterBranches {
@@ -200,6 +200,9 @@ func RunShard(ctx context.Context, journalPath string, opt WorkerOptions) error 
 	}()
 
 	res, cp, err := s.Resume(runCtx, ck)
+	// The result record must follow every checkpoint. A failed write has
+	// already recorded itself through noteStorageFailure.
+	_ = ckpts.Wait()
 	close(stop)
 	hbWG.Wait()
 
@@ -208,8 +211,9 @@ func RunShard(ctx context.Context, journalPath string, opt WorkerOptions) error 
 	failMu.Unlock()
 	if serr != nil {
 		// The defer closes the journal, releasing the flock: the lease
-		// is surrendered and the coordinator's liveness expiry will
-		// reassign this shard (resuming from the last good checkpoint).
+		// is surrendered, and the coordinator reassigns this shard
+		// (resuming from the last good checkpoint) once it sees the
+		// worker go.
 		return fmt.Errorf("drainpool: shard %d surrendering lease: journal append failed: %w", shard, serr)
 	}
 

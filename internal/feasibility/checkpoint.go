@@ -539,3 +539,52 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	return ck, nil
 }
+
+// CheckpointWriter journals a solver's periodic checkpoints behind the
+// search; WriteBehind installs one.
+type CheckpointWriter struct {
+	write func(raw []byte) error
+	// written carries the outcome of the one write in flight (nil when
+	// none is). Barriers run one at a time under the solver's queue
+	// lock, and the owner calls Wait only after the solve returns.
+	written chan error
+}
+
+// WriteBehind sets s.OnCheckpoint so that each periodic checkpoint is
+// encoded at the quiesce barrier and its bytes handed to write on a
+// goroutine while the search runs on. The next barrier first waits for
+// that write, and a write error returned there aborts the solve. So
+// write sees every checkpoint, in order, one at a time, and every
+// checkpoint but the newest is written while the solve still runs.
+// After the solve returns, call Wait before writing anything that must
+// follow the last checkpoint.
+func WriteBehind(s *Solver, write func(raw []byte) error) *CheckpointWriter {
+	w := &CheckpointWriter{write: write}
+	s.OnCheckpoint = w.onCheckpoint
+	return w
+}
+
+func (w *CheckpointWriter) onCheckpoint(cp *Checkpoint) error {
+	raw, err := cp.MarshalBinary()
+	if err != nil {
+		return err // an encoding failure is a software bug, not a write failure
+	}
+	if err := w.Wait(); err != nil {
+		return err
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.write(raw) }()
+	w.written = done
+	return nil
+}
+
+// Wait blocks until the write in flight, if any, has finished and
+// returns its error.
+func (w *CheckpointWriter) Wait() error {
+	if w.written == nil {
+		return nil
+	}
+	err := <-w.written
+	w.written = nil
+	return err
+}

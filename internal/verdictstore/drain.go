@@ -17,11 +17,10 @@ var ErrStorage = errors.New("verdictstore: storage failure")
 // Drain runs sol on inst as a journaled drain under key (inst.Key()).
 // It resumes the stored checkpoint when one decodes and matches inst,
 // else logs why and starts from the root. With sol.CheckpointEvery > 0
-// every periodic checkpoint is captured and encoded at the solver's
-// quiesce barrier, then journaled (with PutCheckpoint and compaction)
-// by a single writer while the search runs on; the next barrier waits
-// for that write first, so the journal receives every checkpoint, in
-// order. The durability contract is therefore:
+// every periodic checkpoint is encoded at the solver's quiesce barrier
+// and journaled (with PutCheckpoint and compaction) behind the search
+// by feasibility.WriteBehind, so the journal receives every
+// checkpoint, in order. The durability contract is therefore:
 //   - every periodic checkpoint except the newest is durable (under the
 //     store's sync policy) while the solve runs;
 //   - the verdict, and a budget or cancel suspension's checkpoint, are
@@ -57,33 +56,7 @@ func (st *Store) Drain(ctx context.Context, key string, inst feasibility.Instanc
 		}
 		return compact()
 	}
-	// written carries the outcome of the one checkpoint write in flight
-	// (nil when none is). Barriers run one at a time under the solver's
-	// queue lock, and Drain reads it only after the solve returns.
-	var written chan error
-	wait := func() error {
-		if written == nil {
-			return nil
-		}
-		err := <-written
-		written = nil
-		return err
-	}
-	if sol.CheckpointEvery > 0 {
-		sol.OnCheckpoint = func(cp *feasibility.Checkpoint) error {
-			raw, err := cp.MarshalBinary()
-			if err != nil {
-				return err // an encoding failure is a software bug, not storage
-			}
-			if err := wait(); err != nil {
-				return err
-			}
-			done := make(chan error, 1)
-			go func() { done <- put(raw) }()
-			written = done
-			return nil
-		}
-	}
+	ckpts := feasibility.WriteBehind(sol, put)
 
 	var from *feasibility.Checkpoint
 	if raw, ok := st.Checkpoint(key); ok {
@@ -108,7 +81,7 @@ func (st *Store) Drain(ctx context.Context, key string, inst feasibility.Instanc
 		res, cp, err = sol.SolveContext(ctx)
 	}
 	resumed = from != nil
-	if werr := wait(); werr != nil {
+	if werr := ckpts.Wait(); werr != nil {
 		return res, nil, resumed, werr
 	}
 
