@@ -219,7 +219,7 @@ func main() {
 	worker := flag.Bool("worker", false, "run as a drain-pool worker for one shard journal (-journal); shard identity comes from the journal")
 	shards := flag.Int("shards", 0, "run as a drain-pool coordinator partitioning the frontier into this many leased shards (requires -journal-dir)")
 	journalDir := flag.String("journal-dir", "", "coordinator journal directory (pool.journal plus per-shard journals); share it to distribute workers")
-	lease := flag.Duration("lease", 30*time.Second, "coordinator: kill and reassign a shard's worker once its journal stops growing for this long (checked every min(lease/4, 1s)); an exited worker is collected at once")
+	lease := flag.Duration("lease", 30*time.Second, "coordinator: kill and reassign a shard's worker once its journal stops growing for this long; workers heartbeat, and the coordinator checks, every min(lease/4, 1s); an exited worker is collected at once")
 	poolProcs := flag.Int("pool-procs", 0, "coordinator: max concurrently running workers (0 = one per shard)")
 	generations := flag.Int("generations", 0, "coordinator: suspend resumable after this many partition/merge cycles (0 = run to the verdict)")
 	crashWorkerAfter := flag.Int64("crash-worker-after", 0, "TESTING: coordinator launches each shard's first attempt with -crash-after-branches set to this")

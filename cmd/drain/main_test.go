@@ -215,6 +215,31 @@ func TestSIGINTSuspendsAndRerunResumes(t *testing.T) {
 	}
 }
 
+// TestShortLeasePoolKeepsHealthyWorkers: without periodic checkpoints,
+// a worker's heartbeats are its shard journal's only growth. They must
+// come at the coordinator's rate (min(lease/4, 1s), carried in the
+// shard journal), so a 200ms lease never expires on a worker that is
+// solving.
+func TestShortLeasePoolKeepsHealthyWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess drain pool in -short mode")
+	}
+	r := drain(t, "-n", "11", "-k", "3", "-shards", "2", "-journal-dir", t.TempDir(),
+		"-lease", "200ms", "-checkpoint-every", "0")
+	if r.code != 0 {
+		t.Fatalf("short-lease pool: exit %d\n%s%s", r.code, r.stdout, r.stderr)
+	}
+	if strings.Contains(r.stdout, "lease expired") {
+		t.Fatalf("a healthy worker lost its lease:\n%s", r.stdout)
+	}
+	// Shard boundaries change how many tables are examined, not what is
+	// decided, so the counts after "tables=" are not compared.
+	got, _, _ := strings.Cut(verdictOf(r.line("verdict: ")), " tables=")
+	if w, _, _ := strings.Cut(want(t, 11, 3), " tables="); got != w {
+		t.Fatalf("short-lease pool verdict %q, want %q", got, w)
+	}
+}
+
 // TestServiceServesDrainedJournal: a finished drain journal is a
 // verdict store the service serves without solving.
 func TestServiceServesDrainedJournal(t *testing.T) {

@@ -24,8 +24,10 @@ import (
 
 // seedShardJournal writes the meta + root-checkpoint records a
 // coordinator would, for a wide ring whose drain runs long enough for
-// faults to land mid-solve.
-func seedShardJournal(t *testing.T, path string, n, k int) {
+// faults to land mid-solve. The meta record sets the worker's
+// heartbeat, which may be one no lease would give (an hour keeps beats
+// out of a fault sequence).
+func seedShardJournal(t *testing.T, path string, n, k int, heartbeat time.Duration) {
 	t.Helper()
 	s := feasibility.NewSolver(n, k)
 	root, err := feasibility.RootCheckpoint(s)
@@ -40,7 +42,7 @@ func seedShardJournal(t *testing.T, path string, n, k int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append(encShardMeta(1, 0)); err != nil {
+	if err := log.Append(encShardMeta(1, 0, heartbeat)); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Append(encShardCkpt(raw)); err != nil {
@@ -55,8 +57,8 @@ func TestWorkerSurrendersLeaseOnHeartbeatFailure(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "shard-g001-s000.journal")
 	// (3, 19): a wide-ring drain that runs far longer than the test —
-	// only surrender can end it early.
-	seedShardJournal(t, path, 19, 3)
+	// only surrender can end it early. Both workers beat every 20ms.
+	seedShardJournal(t, path, 19, 3, 20*time.Millisecond)
 
 	in := faultfs.NewInjector(faultfs.OS{}, 5)
 	// The journal is opened SyncAlways: seeding already happened on the
@@ -65,10 +67,7 @@ func TestWorkerSurrendersLeaseOnHeartbeatFailure(t *testing.T) {
 	in.FailNth(faultfs.OpSync, 1, faultfs.EIO())
 
 	start := time.Now()
-	err := RunShard(context.Background(), path, WorkerOptions{
-		Heartbeat: 20 * time.Millisecond,
-		FS:        in,
-	})
+	err := RunShard(context.Background(), path, WorkerOptions{FS: in})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("worker with failing journal reported success")
@@ -84,10 +83,7 @@ func TestWorkerSurrendersLeaseOnHeartbeatFailure(t *testing.T) {
 	if holder, locked := journal.LockHolder(path); locked {
 		t.Fatalf("shard journal still flocked by pid %d after surrender", holder)
 	}
-	err = RunShard(context.Background(), path, WorkerOptions{
-		Budget:    200,
-		Heartbeat: 50 * time.Millisecond,
-	})
+	err = RunShard(context.Background(), path, WorkerOptions{Budget: 200})
 	if err != nil {
 		t.Fatalf("takeover worker on healthy storage: %v", err)
 	}
@@ -100,7 +96,7 @@ func TestWorkerSurrendersLeaseOnHeartbeatFailure(t *testing.T) {
 func TestWorkerSurrendersOnCheckpointWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "shard-g001-s000.journal")
-	seedShardJournal(t, path, 19, 3)
+	seedShardJournal(t, path, 19, 3, time.Hour)
 
 	in := faultfs.NewInjector(faultfs.OS{}, 5)
 	// First worker append (heartbeat set long; CheckpointEvery=2 means
@@ -109,7 +105,6 @@ func TestWorkerSurrendersOnCheckpointWriteFailure(t *testing.T) {
 
 	err := RunShard(context.Background(), path, WorkerOptions{
 		CheckpointEvery: 2,
-		Heartbeat:       time.Hour,
 		FS:              in,
 	})
 	if err == nil || !strings.Contains(err.Error(), "surrendering lease") {
@@ -126,15 +121,13 @@ func TestWorkerSurrendersOnCheckpointWriteFailure(t *testing.T) {
 func TestWorkerResultNotLostToTransientError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "shard-g001-s000.journal")
-	// (7, 3): small enough to refute quickly.
-	seedShardJournal(t, path, 7, 3)
+	// (7, 3): small enough to refute quickly. An hour-long heartbeat
+	// keeps beats out of the op sequence.
+	seedShardJournal(t, path, 7, 3, time.Hour)
 
 	in := faultfs.NewInjector(faultfs.OS{}, 5)
 	run := func() error {
-		return RunShard(context.Background(), path, WorkerOptions{
-			Heartbeat: time.Hour, // keep beats out of the op sequence
-			FS:        in,
-		})
+		return RunShard(context.Background(), path, WorkerOptions{FS: in})
 	}
 	// Dry-run once on a scratch copy to learn which write is terminal:
 	// with no checkpoints and no beats, it is the worker's only write.

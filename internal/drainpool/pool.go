@@ -9,14 +9,15 @@
 // The coordinator waits on events, not on a clock: a launched worker's
 // exit makes it read that shard's journal for the result, and the
 // generation merges as soon as the last result is in. A timer wakes it
-// only for liveness checks (every Heartbeat: a stat of each running
-// shard journal for growth), lease deadlines and backoff expiries.
+// only for liveness checks (every heartbeat, min(Lease/4, 1s): a stat
+// of each running shard journal for growth), lease deadlines and
+// backoff expiries.
 //
 // Fault model: everything may crash. Workers run at-least-once — a
 // crashed, wedged or lease-expired worker is reassigned with capped
 // exponential backoff, and the merge step dedupes per shard id, so a
 // slow twin finishing late is harmless. A worker whose journal stops
-// growing loses its lease within Lease + Heartbeat of its last append.
+// growing loses its lease within Lease + heartbeat of its last append.
 // The coordinator journals its state (partition, leases, shard
 // completions, verdict) through internal/journal; a coordinator killed
 // -9 recovers the lease table on reopen, adopts workers that are still
@@ -62,7 +63,6 @@ type WorkerSpec struct {
 	Budget              int
 	CheckpointEvery     int
 	SolverWorkers       int
-	Heartbeat           time.Duration
 }
 
 // Config parameterizes a coordinator run.
@@ -80,24 +80,22 @@ type Config struct {
 	MaxProcs int
 	// Lease is how long a worker may go without journal growth before
 	// its lease expires, its process is killed and the shard is
-	// reassigned (0: 30s). The coordinator looks for growth every
-	// Heartbeat, so a wedged worker loses its lease within Lease +
-	// Heartbeat of its last append. A worker that exits is collected at
-	// once, whatever the lease.
+	// reassigned (0: 30s). It is the pool's only liveness knob: the
+	// heartbeat is min(Lease/4, 1s), written into each shard journal's
+	// meta record for its workers to keep, and the coordinator looks for
+	// growth (and probes adopted orphans' flocks) at the same rate. A
+	// wedged worker loses its lease within Lease + heartbeat of its last
+	// append; a worker that exits is collected at once, whatever the
+	// lease.
 	Lease time.Duration
 	// WorkerBudget bounds each worker leg's expansion units (0:
 	// unlimited — shards run to their outcome).
 	WorkerBudget int
 	// CheckpointEvery is the workers' checkpoint cadence in branches
-	// (0: 64).
+	// (0: no periodic checkpoints; only the shard result is journaled).
 	CheckpointEvery int
 	// SolverWorkers sizes each worker's in-process search pool (0: 1).
 	SolverWorkers int
-	// Heartbeat is the workers' liveness-append cadence and the
-	// coordinator's liveness-check cadence (0: Lease/4, capped at 1s).
-	// A check stats each running shard journal for growth and probes
-	// the flock of each adopted orphan.
-	Heartbeat time.Duration
 	// MaxAttempts bounds attempts per shard per generation (0: 8).
 	MaxAttempts int
 	// BackoffBase and BackoffCap shape the reassignment backoff
@@ -126,15 +124,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Lease <= 0 {
 		cfg.Lease = 30 * time.Second
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 64
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = cfg.Lease / 4
-		if cfg.Heartbeat > time.Second {
-			cfg.Heartbeat = time.Second
-		}
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 8
@@ -174,6 +163,12 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("drainpool: invalid config: %w", errors.Join(errs...))
 	}
 	return nil
+}
+
+// heartbeat is the workers' liveness-append cadence and the
+// coordinator's liveness-check cadence: min(Lease/4, 1s).
+func (cfg Config) heartbeat() time.Duration {
+	return min(max(cfg.Lease/4, 1), time.Second)
 }
 
 func poolJournalPath(dir string) string { return filepath.Join(dir, "pool.journal") }
@@ -274,7 +269,8 @@ func (c *coordinator) recover() (*feasibility.Result, error) {
 			}
 			verdict = &res
 		case recHeartbeat:
-			// informational only
+			// Older coordinators journaled observed growth; an
+			// interrupted drain's journal can still hold such records.
 		default:
 			return fmt.Errorf("drainpool: unknown pool journal record tag %q", p[0])
 		}
@@ -397,54 +393,41 @@ func (c *coordinator) persistBase() error {
 	return c.plog.Compact([][]byte{encPartition(c.gen, c.shards, raw)})
 }
 
-// expand runs the drain in-process (single worker, deterministic)
-// until the frontier is at least Shards wide, the tier escalates, or
-// the drain finishes. Non-nil final means the drain reached its
-// verdict during expansion.
+// expand runs the drain in-process (single worker, deterministic,
+// escalating the ladder on a survivor like any solve) until the
+// frontier is at least Shards wide or the drain finishes. Non-nil final
+// means the drain reached its verdict during expansion.
 func (c *coordinator) expand(ctx context.Context) (final *feasibility.Result, err error) {
-	for {
-		if c.base.Stats().FrontierNodes >= c.cfg.Shards {
-			return nil, nil
+	if c.base.Stats().FrontierNodes >= c.cfg.Shards {
+		return nil, nil
+	}
+	s, err := c.base.NewSolver()
+	if err != nil {
+		return nil, err
+	}
+	s.Workers = 1
+	s.CheckpointEvery = 1
+	var captured *feasibility.Checkpoint
+	s.OnCheckpoint = func(cp *feasibility.Checkpoint) error {
+		if cp.Stats().FrontierNodes >= c.cfg.Shards {
+			captured = cp
+			return errWideEnough
 		}
-		s, err := c.base.NewSolver()
-		if err != nil {
-			return nil, err
-		}
-		s.Workers = 1
-		s.StopAfterTier = true
-		s.CheckpointEvery = 1
-		var captured *feasibility.Checkpoint
-		s.OnCheckpoint = func(cp *feasibility.Checkpoint) error {
-			if cp.Stats().FrontierNodes >= c.cfg.Shards {
-				captured = cp
-				return errWideEnough
-			}
-			return nil
-		}
-		res, cp, err := s.Resume(ctx, c.base)
-		switch {
-		case errors.Is(err, errWideEnough) && captured != nil:
-			c.base = captured
-		case err == nil && res.Impossible:
-			return &res, nil
-		case err == nil && res.SurvivorTable != nil:
-			st := c.base.Stats()
-			if st.TierIndex == st.TierCount-1 {
-				return &res, nil
-			}
-			next, aerr := c.base.AdvanceTier(res.SurvivorTable, res)
-			if aerr != nil {
-				return nil, aerr
-			}
-			c.cfg.Logf("expansion: tier %d survived, escalating", st.Tier)
-			c.base = next
-		case err != nil && cp != nil:
-			// Context cancellation mid-expansion: keep the progress.
-			c.base = cp
-			return nil, fmt.Errorf("%w: %w", ErrSuspended, err)
-		default:
-			return nil, err
-		}
+		return nil
+	}
+	res, cp, err := s.Resume(ctx, c.base)
+	switch {
+	case errors.Is(err, errWideEnough) && captured != nil:
+		c.base = captured
+		return nil, nil
+	case err == nil:
+		return &res, nil
+	case cp != nil:
+		// Context cancellation mid-expansion: keep the progress.
+		c.base = cp
+		return nil, fmt.Errorf("%w: %w", ErrSuspended, err)
+	default:
+		return nil, err
 	}
 }
 
@@ -477,7 +460,7 @@ type generation struct {
 
 // runGeneration runs every shard of parts that has no result yet. It
 // sleeps until a launched worker exits, the context ends, or one timer
-// fires for the nearest liveness check (every Heartbeat), lease
+// fires for the nearest liveness check (every heartbeat), lease
 // deadline or backoff expiry. A shard journal is read for its result
 // once: when its launched worker exits, or when an adopted orphan drops
 // its flock or loses its lease.
@@ -502,7 +485,8 @@ func (c *coordinator) runGeneration(ctx context.Context, parts []*feasibility.Ch
 			c.killWorker(w)
 		}
 	}()
-	nextCheck := time.Now().Add(c.cfg.Heartbeat)
+	heartbeat := c.cfg.heartbeat()
+	nextCheck := time.Now().Add(heartbeat)
 	for len(c.done) < len(parts) {
 		if ctx.Err() != nil {
 			c.cfg.Logf("context canceled; suspending generation %d (%d/%d shards done)", c.gen, len(c.done), len(parts))
@@ -521,7 +505,7 @@ func (c *coordinator) runGeneration(ctx context.Context, parts []*feasibility.Ch
 			}
 		case <-timer.C:
 			err = g.checkLiveness()
-			nextCheck = time.Now().Add(c.cfg.Heartbeat)
+			nextCheck = time.Now().Add(heartbeat)
 		}
 		timer.Stop()
 		if err != nil {
@@ -622,9 +606,6 @@ func (g *generation) checkLiveness() error {
 			// Journal growth is the liveness signal: extend the lease.
 			w.lastSize = fi.Size()
 			w.deadline = now.Add(c.cfg.Lease)
-			if err := c.plog.Append(encPoolHeartbeat(c.gen, shard, w.lastSize)); err != nil {
-				return err
-			}
 			continue
 		}
 		if now.Before(w.deadline) {
@@ -699,7 +680,6 @@ func (c *coordinator) startShard(parts []*feasibility.Checkpoint, shard int) (*w
 		Budget:          c.cfg.WorkerBudget,
 		CheckpointEvery: c.cfg.CheckpointEvery,
 		SolverWorkers:   c.cfg.SolverWorkers,
-		Heartbeat:       c.cfg.Heartbeat,
 	}
 	deadline := time.Now().Add(c.cfg.Lease)
 	if err := c.plog.Append(encLease(c.gen, shard, attempt, deadline.UnixNano())); err != nil {
@@ -720,12 +700,14 @@ func (c *coordinator) startShard(parts []*feasibility.Checkpoint, shard int) (*w
 	return w, nil
 }
 
-// seedShardJournal writes the shard's meta and initial checkpoint
-// records. Seeding is idempotent per record, not per file: a
-// coordinator killed between the two appends leaves a journal with
-// meta but no checkpoint, and the recovering coordinator must repair
-// it rather than hand workers an unrunnable shard. Progress a previous
-// attempt journaled (later checkpoints, even a result) is preserved.
+// seedShardJournal writes the shard's meta record, carrying this
+// coordinator's heartbeat, and its initial checkpoint. Seeding is
+// idempotent per record, not per file: a coordinator killed between the
+// two appends leaves a journal with meta but no checkpoint, and the
+// recovering coordinator must repair it rather than hand workers an
+// unrunnable shard. A recovering coordinator with another lease appends
+// a newer meta record, which wins. Progress a previous attempt
+// journaled (later checkpoints, even a result) is preserved.
 func (c *coordinator) seedShardJournal(path string, ck *feasibility.Checkpoint, shard int) error {
 	log, err := journal.OpenFS(c.cfg.FS, path, journal.SyncAlways)
 	if err != nil {
@@ -735,14 +717,16 @@ func (c *coordinator) seedShardJournal(path string, ck *feasibility.Checkpoint, 
 		return err
 	}
 	defer log.Close()
-	hasMeta, hasCkpt := false, false
+	heartbeat := c.cfg.heartbeat()
+	metaCurrent, hasCkpt := false, false
 	if err := log.ForEach(func(p []byte) error {
 		if len(p) == 0 {
 			return nil
 		}
 		switch p[0] {
 		case recShardMeta:
-			hasMeta = true
+			_, _, hb, err := decShardMeta(p)
+			metaCurrent = err == nil && hb == heartbeat
 		case recShardCkpt:
 			hasCkpt = true
 		}
@@ -750,8 +734,8 @@ func (c *coordinator) seedShardJournal(path string, ck *feasibility.Checkpoint, 
 	}); err != nil {
 		return err
 	}
-	if !hasMeta {
-		if err := log.Append(encShardMeta(c.gen, shard)); err != nil {
+	if !metaCurrent {
+		if err := log.Append(encShardMeta(c.gen, shard, heartbeat)); err != nil {
 			return err
 		}
 	}

@@ -59,7 +59,6 @@ func TestPoolWorkerHelper(t *testing.T) {
 	opt := WorkerOptions{
 		Budget:             atoiEnv(envBudget),
 		CheckpointEvery:    atoiEnv(envCkptEvery),
-		Heartbeat:          50 * time.Millisecond,
 		CrashAfterBranches: int64(atoiEnv(envCrashAfter)),
 	}
 	if err := RunShard(context.Background(), path, opt); err != nil {
@@ -70,16 +69,19 @@ func TestPoolWorkerHelper(t *testing.T) {
 }
 
 // launchPlan builds worker commands for the coordinator, with optional
-// fault injection decided per spec (so e.g. only first attempts crash).
+// fault injection decided per spec (so e.g. only first attempts crash),
+// and records every spec it launched.
 type launchPlan struct {
 	mu         sync.Mutex
 	crashAfter func(WorkerSpec) int64
 	wedge      func(WorkerSpec) bool
+	specs      []WorkerSpec
 }
 
 func (p *launchPlan) launch(spec WorkerSpec) *exec.Cmd {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.specs = append(p.specs, spec)
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestPoolWorkerHelper$")
 	// A race-built helper sleeps 1s at exit unless told otherwise, and
 	// the coordinator collects a shard when its worker exits.
@@ -155,13 +157,25 @@ func TestPoolMatchesSingleProcess(t *testing.T) {
 	}
 	// (7,3) and (8,5) fan out to real worker subprocesses; (7,4)'s
 	// frontier never reaches the shard width, covering the drain that
-	// finishes entirely inside the coordinator's expansion phase.
-	for _, inst := range []feasibility.Instance{{N: 7, K: 3}, {N: 7, K: 4}, {N: 8, K: 5}} {
-		inst := inst
-		t.Run(fmt.Sprintf("n%dk%d", inst.N, inst.K), func(t *testing.T) {
+	// finishes entirely inside the coordinator's expansion phase. At 8
+	// shards, (7,3) with 2-step cycles survives tier 0 inside the
+	// expansion, which escalates and reaches the tier-2 verdict there.
+	for _, tc := range []struct {
+		name   string
+		inst   feasibility.Instance
+		shards int
+	}{
+		{"n7k3", feasibility.Instance{N: 7, K: 3}, 3},
+		{"n7k4", feasibility.Instance{N: 7, K: 4}, 3},
+		{"n8k5", feasibility.Instance{N: 8, K: 5}, 3},
+		{"n7k3cycle2shards8", feasibility.Instance{N: 7, K: 3, MaxCycleLen: 2}, 8},
+	} {
+		inst := tc.inst
+		t.Run(tc.name, func(t *testing.T) {
 			want := oracleVerdict(t, inst)
 			plan := &launchPlan{}
 			cfg := testConfig(t.TempDir(), inst, plan)
+			cfg.Shards = tc.shards
 			got, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("pool run: %v", err)
@@ -211,9 +225,9 @@ func TestPoolRandomWorkerCrashes(t *testing.T) {
 }
 
 // TestPoolCollectsOnExit crashes the first attempt of every shard
-// under a lease and heartbeat of an hour, so no liveness check or lease
-// deadline comes due during the run: worker exits alone must drive
-// result collection and reassignment.
+// under an hour-long lease, so no lease deadline comes due during the
+// run and liveness checks find nothing to collect: worker exits alone
+// must drive result collection and reassignment.
 func TestPoolCollectsOnExit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess drain pool in -short mode")
@@ -229,7 +243,6 @@ func TestPoolCollectsOnExit(t *testing.T) {
 	}
 	cfg := testConfig(t.TempDir(), inst, plan)
 	cfg.Lease = time.Hour
-	cfg.Heartbeat = time.Hour
 	lost := 0 // Logf runs on Run's goroutine
 	cfg.Logf = func(format string, args ...any) {
 		if strings.Contains(format, "worker lost") {
@@ -245,6 +258,155 @@ func TestPoolCollectsOnExit(t *testing.T) {
 	checkAgainstOracle(t, got, want)
 	if lost == 0 {
 		t.Fatal("no first attempt crashed, so no reassignment was exercised")
+	}
+}
+
+// TestPoolKeepsCheckpointEveryZero: CheckpointEvery 0 reaches every
+// worker as 0 (no periodic checkpoints), not as some default cadence.
+func TestPoolKeepsCheckpointEveryZero(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess drain pool in -short mode")
+	}
+	inst := feasibility.Instance{N: 7, K: 3}
+	want := oracleVerdict(t, inst)
+	plan := &launchPlan{}
+	cfg := testConfig(t.TempDir(), inst, plan)
+	cfg.CheckpointEvery = 0
+	got, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("pool run without periodic checkpoints: %v", err)
+	}
+	checkAgainstOracle(t, got, want)
+	if len(plan.specs) == 0 {
+		t.Fatal("no worker was launched")
+	}
+	for _, spec := range plan.specs {
+		if spec.CheckpointEvery != 0 {
+			t.Fatalf("shard %d attempt %d launched with CheckpointEvery %d, want 0", spec.Shard, spec.Attempt, spec.CheckpointEvery)
+		}
+	}
+}
+
+// TestRunShardBeatsAtLeaseHeartbeat runs a worker the way cmd/drain
+// does, with zero WorkerOptions, on a shard the coordinator seeded
+// under a 200ms lease. Without periodic checkpoints its heartbeats are
+// the only journal growth, so they must come every 50ms (Lease/4), well
+// inside the lease, for about 12 beats in 600ms.
+func TestRunShardBeatsAtLeaseHeartbeat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-g001-s000.journal")
+	c := &coordinator{cfg: Config{Lease: 200 * time.Millisecond}.withDefaults()}
+	root, err := feasibility.RootCheckpoint(feasibility.NewSolver(19, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.seedShardJournal(path, root, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 600*time.Millisecond)
+	defer cancel()
+	if err := RunShard(ctx, path, WorkerOptions{}); err != nil {
+		t.Fatalf("RunShard: %v", err)
+	}
+	log, err := journal.Open(path, journal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	beats := 0
+	if err := log.ForEach(func(p []byte) error {
+		if p[0] == recShardBeat {
+			beats++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if beats < 4 {
+		t.Fatalf("%d heartbeats in 600ms under a 200ms lease, want at least 4", beats)
+	}
+}
+
+// TestReseedUpdatesHeartbeat: a coordinator recovering a shard journal
+// under another lease appends a meta record with its own heartbeat,
+// which workers then read, and reseeding under the same lease appends
+// nothing.
+func TestReseedUpdatesHeartbeat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-g001-s000.journal")
+	root, err := feasibility.RootCheckpoint(feasibility.NewSolver(7, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lease := range []time.Duration{time.Minute, 200 * time.Millisecond, 200 * time.Millisecond} {
+		c := &coordinator{cfg: Config{Lease: lease}.withDefaults()}
+		if err := c.seedShardJournal(path, root, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := journal.Scan(buf)
+	var beats []time.Duration
+	for _, p := range recs {
+		if p[0] == recShardMeta {
+			_, _, hb, err := decShardMeta(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			beats = append(beats, hb)
+		}
+	}
+	if len(beats) != 2 || beats[0] != time.Second || beats[1] != 50*time.Millisecond {
+		t.Fatalf("meta record heartbeats %v, want [1s 50ms]", beats)
+	}
+}
+
+// TestTwoFieldShardMetaBeatsEverySecond: an older coordinator's meta
+// record carries no heartbeat, and its workers beat every second.
+func TestTwoFieldShardMetaBeatsEverySecond(t *testing.T) {
+	gen, shard, hb, err := decShardMeta(encHeader(recShardMeta, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen != 3 || shard != 2 || hb != time.Second {
+		t.Fatalf("decShardMeta = gen %d, shard %d, heartbeat %v; want 3, 2, 1s", gen, shard, hb)
+	}
+}
+
+// TestRecoverSkipsPoolHeartbeats: an interrupted older coordinator's
+// pool journal can hold 'H' records; recovery must replay past them.
+func TestRecoverSkipsPoolHeartbeats(t *testing.T) {
+	root, err := feasibility.RootCheckpoint(feasibility.NewSolver(7, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := root.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plog, err := journal.Open(filepath.Join(t.TempDir(), "pool.journal"), journal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plog.Close()
+	for _, rec := range [][]byte{
+		encPartition(1, 2, raw),
+		encLease(1, 0, 1, time.Now().UnixNano()),
+		encHeader(recHeartbeat, 1, 0, 4096),
+	} {
+		if err := plog.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := &coordinator{cfg: Config{}.withDefaults(), plog: plog}
+	verdict, err := c.recover()
+	if err != nil {
+		t.Fatalf("recover over a pool journal with an 'H' record: %v", err)
+	}
+	if verdict != nil || c.gen != 1 || c.shards != 2 || c.attempts[0] != 1 {
+		t.Fatalf("recovered verdict %v, generation %d, %d shards, attempts %v; want none, 1, 2, shard 0 at 1",
+			verdict, c.gen, c.shards, c.attempts)
 	}
 }
 
@@ -278,7 +440,7 @@ func TestNextWakeWhilePoolFull(t *testing.T) {
 // last.
 func TestRunShardJournalsEveryCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard-g001-s000.journal")
-	seedShardJournal(t, path, 8, 5)
+	seedShardJournal(t, path, 8, 5, time.Hour)
 
 	root, err := feasibility.RootCheckpoint(feasibility.NewSolver(8, 5))
 	if err != nil {
@@ -304,7 +466,7 @@ func TestRunShardJournalsEveryCheckpoint(t *testing.T) {
 		t.Fatalf("only %d periodic checkpoints; the shard is too small to test ordering", len(want))
 	}
 
-	if err := RunShard(context.Background(), path, WorkerOptions{CheckpointEvery: 2, Heartbeat: time.Hour}); err != nil {
+	if err := RunShard(context.Background(), path, WorkerOptions{CheckpointEvery: 2}); err != nil {
 		t.Fatalf("RunShard: %v", err)
 	}
 	log, err := journal.Open(path, journal.SyncNone)

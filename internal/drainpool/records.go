@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 )
 
 // Journal record encodings for the drain pool. Two journals exist:
@@ -12,25 +13,26 @@ import (
 // whose flock doubles as the single-coordinator guard) holds the
 // coordinator's recoverable state: a partition record ('P') opening
 // each generation with the full base checkpoint, lease grants ('L'),
-// observed-progress heartbeats ('H'), shard completions ('D',
-// embedding the shard result so recovery never depends on retired
-// shard journals), and the final verdict ('V'). The journal is
-// compacted down to the newest 'P' when a generation opens — every
-// older record is then derivable or obsolete — so replaying it is:
-// take the last 'P', honor the 'L'/'D' records after it.
+// shard completions ('D', embedding the shard result so recovery never
+// depends on retired shard journals), and the final verdict ('V'). It
+// has no heartbeat record: liveness lives in the shard journals. The
+// journal is compacted down to the newest 'P' when a generation opens
+// — every older record is then derivable or obsolete — so replaying it
+// is: take the last 'P', honor the 'L'/'D' records after it.
 //
 // Each SHARD journal (shard-g<gen>-s<shard>.journal, written by the
-// worker holding its flock) holds the shard's identity ('S', seeded by
-// the coordinator together with the initial checkpoint), periodic
-// checkpoints ('C'), worker heartbeats ('H'), and the terminal shard
-// result ('R'). The coordinator never takes a shard journal's lock: it
-// stats the file for growth, the liveness signal, and reads it
-// (journal.Scan over a plain read) once, for the result, when the
-// worker is gone.
+// worker holding its flock) holds the shard's meta ('S': generation,
+// shard id and the heartbeat the worker must keep, seeded by the
+// coordinator together with the initial checkpoint; the newest 'S'
+// wins), periodic checkpoints ('C'), worker heartbeats ('H'), and the
+// terminal shard result ('R'). The coordinator never takes a shard
+// journal's lock: it stats the file for growth, the liveness signal,
+// and reads it (journal.Scan over a plain read) once, for the result,
+// when the worker is gone.
 const (
 	recPartition = 'P'
 	recLease     = 'L'
-	recHeartbeat = 'H'
+	recHeartbeat = 'H' // no longer written; older coordinators' journals hold them
 	recDone      = 'D'
 	recVerdict   = 'V'
 
@@ -97,10 +99,6 @@ func decLease(rec []byte) (gen, shard, attempt int, expiryUnixNano int64, err er
 	return int(f[0]), int(f[1]), int(f[2]), int64(f[3]), nil
 }
 
-func encPoolHeartbeat(gen, shard int, size int64) []byte {
-	return encHeader(recHeartbeat, uint64(gen), uint64(shard), uint64(size))
-}
-
 func encDone(gen, shard int, result []byte) []byte {
 	return append(encHeader(recDone, uint64(gen), uint64(shard)), result...)
 }
@@ -117,16 +115,24 @@ func encVerdict(result []byte) []byte {
 	return append([]byte{recVerdict}, result...)
 }
 
-func encShardMeta(gen, shard int) []byte {
-	return encHeader(recShardMeta, uint64(gen), uint64(shard))
+func encShardMeta(gen, shard int, heartbeat time.Duration) []byte {
+	return encHeader(recShardMeta, uint64(gen), uint64(shard), uint64(heartbeat))
 }
 
-func decShardMeta(rec []byte) (gen, shard int, err error) {
-	f, _, err := decFields(rec, 2)
+func decShardMeta(rec []byte) (gen, shard int, heartbeat time.Duration, err error) {
+	f, rest, err := decFields(rec, 2)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	return int(f[0]), int(f[1]), nil
+	heartbeat = time.Second // a two-field 'S' comes from an older coordinator, whose workers beat every 1s
+	if len(rest) > 0 {
+		hb, sz := binary.Uvarint(rest)
+		if sz <= 0 || hb == 0 {
+			return 0, 0, 0, errTruncatedRec
+		}
+		heartbeat = time.Duration(hb)
+	}
+	return int(f[0]), int(f[1]), heartbeat, nil
 }
 
 func encShardCkpt(ckpt []byte) []byte {

@@ -15,9 +15,9 @@ import (
 )
 
 // WorkerOptions tunes one shard run. The shard's identity — instance,
-// tier, frontier — comes entirely from the shard journal, so a worker
-// needs nothing but the journal path (which is what makes multi-machine
-// operation a shared journal directory away).
+// tier, frontier — and its heartbeat come entirely from the shard
+// journal, so a worker needs nothing but the journal path (which is
+// what makes multi-machine operation a shared journal directory away).
 type WorkerOptions struct {
 	// Budget bounds expansion units for this leg (0: solver default).
 	Budget int
@@ -27,9 +27,6 @@ type WorkerOptions struct {
 	// SolverWorkers sizes the in-process search pool (0: one worker,
 	// keeping shard legs deterministic).
 	SolverWorkers int
-	// Heartbeat is the cadence of liveness appends (0: 1s). It must be
-	// comfortably below the coordinator's lease.
-	Heartbeat time.Duration
 	// CrashAfterBranches, when positive, SIGKILLs the worker's own
 	// process after that many branches — the fault suite's crashpoint.
 	CrashAfterBranches int64
@@ -42,14 +39,16 @@ type WorkerOptions struct {
 
 // RunShard executes one leased shard: open the shard journal (taking
 // its flock — the lease-holding token other processes can observe),
-// resume the latest journaled checkpoint under StopAfterTier, and
-// append the terminal ShardResult. Execution is at-least-once safe:
-// if a previous attempt already journaled a result, RunShard returns
-// immediately without recomputing, and a crashed attempt's periodic
-// checkpoints let the next attempt resume mid-shard instead of
-// restarting. Periodic checkpoints are journaled behind the search
-// (feasibility.WriteBehind): every one but the newest is durable while
-// the shard runs, and all of them precede the result record.
+// resume the latest journaled checkpoint under StopAfterTier while
+// appending a heartbeat at the cadence the coordinator wrote into the
+// shard's meta record, and append the terminal ShardResult. Execution
+// is at-least-once safe: if a previous attempt already journaled a
+// result, RunShard returns immediately without recomputing, and a
+// crashed attempt's periodic checkpoints let the next attempt resume
+// mid-shard instead of restarting. Periodic checkpoints are journaled
+// behind the search (feasibility.WriteBehind): every one but the newest
+// is durable while the shard runs, and all of them precede the result
+// record.
 //
 // Storage failure surrenders the lease instead of wedging: if a
 // heartbeat or checkpoint append fails, the solve is cancelled, the
@@ -78,6 +77,7 @@ func RunShard(ctx context.Context, journalPath string, opt WorkerOptions) error 
 	defer log.Close()
 
 	shard := -1
+	var heartbeat time.Duration
 	var ckptRaw []byte
 	done := false
 	err = log.ForEach(func(p []byte) error {
@@ -86,11 +86,11 @@ func RunShard(ctx context.Context, journalPath string, opt WorkerOptions) error 
 		}
 		switch p[0] {
 		case recShardMeta:
-			_, s, err := decShardMeta(p)
+			_, s, hb, err := decShardMeta(p)
 			if err != nil {
 				return err
 			}
-			shard = s
+			shard, heartbeat = s, hb
 		case recShardCkpt:
 			ckptRaw = append(ckptRaw[:0], p[1:]...)
 		case recShardDone:
@@ -169,16 +169,12 @@ func RunShard(ctx context.Context, journalPath string, opt WorkerOptions) error 
 			}
 		}
 	}
-	hb := opt.Heartbeat
-	if hb <= 0 {
-		hb = time.Second
-	}
 	stop := make(chan struct{})
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		t := time.NewTicker(hb)
+		t := time.NewTicker(heartbeat)
 		defer t.Stop()
 		for {
 			select {

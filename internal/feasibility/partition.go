@@ -467,7 +467,7 @@ func (ck *Checkpoint) Merge(shards int, results []ShardResult) (*Result, *Checkp
 			final.SurvivorTable = surv.Survivor
 			return &final, nil, nil
 		}
-		next, err := ck.AdvanceTier(surv.Survivor, counters)
+		next, err := ck.advanceTier(surv.Survivor, counters)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -600,14 +600,12 @@ func (ck *Checkpoint) mergeCredits(byShard []*ShardResult) []ckptCredit {
 	return merged
 }
 
-// AdvanceTier builds the checkpoint of the ladder's next tier after
+// advanceTier builds the checkpoint of the ladder's next tier after
 // this checkpoint's tier produced a survivor: a fresh root frontier at
 // tierIndex+1, the survivor as the prior, and cumulative counters
 // carried forward. Credits start empty — they are per-tier statistics,
-// exactly as an uninterrupted solve resets them at escalation. The
-// drain-pool coordinator uses this when its in-process frontier
-// expansion finishes a tier.
-func (ck *Checkpoint) AdvanceTier(survivor Table, counters Result) (*Checkpoint, error) {
+// exactly as an uninterrupted solve resets them at escalation.
+func (ck *Checkpoint) advanceTier(survivor Table, counters Result) (*Checkpoint, error) {
 	if survivor == nil {
 		return nil, errors.New("feasibility: advancing a tier requires a survivor")
 	}

@@ -320,10 +320,10 @@ type Solver struct {
 	// cmd/drain's crash modes); production solves leave it nil.
 	BranchHook func(int64)
 	// StopAfterTier makes Solve/Resume return at the end of the first
-	// tier it runs instead of escalating the ladder on a survivor. A
-	// sharded drain (partition.go) needs this: each shard settles only
-	// its own subtree at the checkpoint's tier, and the coordinator's
-	// merge step — which alone sees every shard — decides escalation.
+	// tier it runs instead of escalating the ladder on a survivor. Only
+	// drain-pool shards (partition.go) set it: each settles just its own
+	// subtree at the checkpoint's tier, and Merge — which alone sees
+	// every shard — decides escalation.
 	StopAfterTier bool
 
 	// obsCache memoizes per-configuration observations across all table
