@@ -29,7 +29,6 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
@@ -37,7 +36,9 @@ import (
 	"strings"
 	"time"
 
+	"ringrobots/internal/faultfs"
 	"ringrobots/internal/feasibility"
+	"ringrobots/internal/journal"
 )
 
 type result struct {
@@ -255,32 +256,8 @@ func main() {
 	// Temp-file + rename: a crash (or full disk) mid-write must never
 	// leave a truncated report where benchdiff — or a later bench run's
 	// baseline lookup — would read it as the real thing.
-	if err := writeFileAtomic(*out, js); err != nil {
+	if _, err := journal.WriteFileAtomic(faultfs.OS{}, *out, js); err != nil {
 		fail(err)
 	}
 	fmt.Printf("wrote %s (%d rows)\n", *out, len(rep.Benchmarks))
-}
-
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -49,14 +49,10 @@ type AsyncScheduler interface {
 // actions can be scheduled between its Look and its Move (§2: "robots that
 // cannot communicate may move based on outdated perceptions").
 type AsyncRunner struct {
-	World     *World
-	Algorithm Algorithm
+	stepper
 	Scheduler AsyncScheduler
-	Observers []MoveObserver
 
 	pending []pendingMove
-	step    int
-	moves   int
 }
 
 type pendingMove struct {
@@ -67,15 +63,11 @@ type pendingMove struct {
 // NewAsyncRunner builds an async runner.
 func NewAsyncRunner(w *World, alg Algorithm, sched AsyncScheduler) *AsyncRunner {
 	return &AsyncRunner{
-		World:     w,
-		Algorithm: alg,
+		stepper:   stepper{World: w, Algorithm: alg},
 		Scheduler: sched,
 		pending:   make([]pendingMove, w.K()),
 	}
 }
-
-// Observe registers a move observer.
-func (r *AsyncRunner) Observe(obs MoveObserver) { r.Observers = append(r.Observers, obs) }
 
 // Pending reports whether robot id has an unexecuted move.
 func (r *AsyncRunner) Pending(id int) bool { return r.pending[id].active }
@@ -91,12 +83,6 @@ func (r *AsyncRunner) PendingCount() int {
 	return n
 }
 
-// Steps returns the number of scheduled actions so far.
-func (r *AsyncRunner) Steps() int { return r.step }
-
-// Moves returns the number of executed moves so far.
-func (r *AsyncRunner) Moves() int { return r.moves }
-
 // Step performs one adversary-chosen action. moved reports whether a move
 // was executed (not merely computed).
 func (r *AsyncRunner) Step() (moved bool, err error) {
@@ -111,36 +97,21 @@ func (r *AsyncRunner) Step() (moved bool, err error) {
 		if r.pending[a.Robot].active {
 			return false, fmt.Errorf("corda: scheduler looked robot %d while its move is pending", a.Robot)
 		}
-		snap, loDir := r.World.Snapshot(a.Robot)
-		d := r.Algorithm.Compute(snap)
-		if d == Stay {
-			return false, nil // cycle complete without a move
+		dir, moving, err := r.look(a.Robot, func() ring.Direction {
+			return r.Scheduler.ResolveEither(r.World, a.Robot, r.step)
+		})
+		if moving {
+			r.pending[a.Robot] = pendingMove{active: true, dir: dir}
 		}
-		if snap.Symmetric() {
-			d = Either
-		}
-		dir, derr := decisionDirection(d, loDir, r.Scheduler.ResolveEither(r.World, a.Robot, r.step))
-		if derr != nil {
-			return false, derr
-		}
-		r.pending[a.Robot] = pendingMove{active: true, dir: dir}
-		return false, nil
+		return false, err // a moving cycle completes at its Move
 	case ActMove:
 		if !r.pending[a.Robot].active {
 			return false, fmt.Errorf("corda: scheduler moved robot %d with no pending move", a.Robot)
 		}
 		dir := r.pending[a.Robot].dir
 		r.pending[a.Robot] = pendingMove{}
-		ev, merr := r.World.MoveRobot(a.Robot, dir)
-		if merr != nil {
-			return false, fmt.Errorf("%s at async step %d: %w", r.Algorithm.Name(), r.step, merr)
-		}
-		ev.Step = r.step
-		r.moves++
-		for _, obs := range r.Observers {
-			obs.ObserveMove(ev, r.World)
-		}
-		return true, nil
+		err := r.move(a.Robot, dir)
+		return err == nil, err
 	}
 	return false, fmt.Errorf("corda: unknown action kind %v", a.Kind)
 }

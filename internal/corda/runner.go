@@ -6,89 +6,94 @@ import (
 	"ringrobots/internal/ring"
 )
 
-// Scheduler picks which robot performs its next atomic Look-Compute-Move
-// cycle and resolves direction choices the model leaves to the adversary.
-type Scheduler interface {
-	// NextRobot returns the identity of the robot to activate.
-	NextRobot(w *World, step int) int
-	// ResolveEither picks a direction for an Either decision.
-	ResolveEither(w *World, id int, step int) ring.Direction
-}
-
-// RoundRobin activates robots 0,1,…,k−1 cyclically and resolves Either
-// clockwise. It is the fair deterministic scheduler used for verification.
-type RoundRobin struct{}
-
-// NextRobot implements Scheduler.
-func (RoundRobin) NextRobot(w *World, step int) int { return step % w.K() }
-
-// ResolveEither implements Scheduler.
-func (RoundRobin) ResolveEither(w *World, id, step int) ring.Direction { return ring.CW }
-
-// Runner executes an algorithm with atomic Look-Compute-Move cycles.
-// Atomicity makes runs reproducible; the paper's algorithms guarantee at
-// most one robot ever decides to move in any reachable configuration, so
-// atomic scheduling loses no generality for them (AsyncRunner exercises
-// the general asynchronous case).
-type Runner struct {
+// stepper is what both runtimes share: the world, the algorithm, the
+// move observers, the step and move counts, and the model's rules for
+// the two halves of a Look-Compute-Move cycle (look, move).
+type stepper struct {
 	World     *World
 	Algorithm Algorithm
-	Scheduler Scheduler
 	Observers []MoveObserver
 
 	step  int
 	moves int
 }
 
-// NewRunner wires a runner with a round-robin scheduler by default.
-func NewRunner(w *World, alg Algorithm) *Runner {
-	return &Runner{World: w, Algorithm: alg, Scheduler: RoundRobin{}}
-}
-
 // Observe registers a move observer.
-func (r *Runner) Observe(obs MoveObserver) { r.Observers = append(r.Observers, obs) }
+func (s *stepper) Observe(obs MoveObserver) { s.Observers = append(s.Observers, obs) }
 
-// Step activates one robot through a full cycle and reports whether it
-// moved. An error means the algorithm violated the model (collision).
-func (r *Runner) Step() (moved bool, err error) {
-	id := r.Scheduler.NextRobot(r.World, r.step)
-	moved, err = r.activate(id)
-	r.step++
-	return moved, err
-}
-
-// Steps returns the number of activations performed so far.
-func (r *Runner) Steps() int { return r.step }
+// Steps returns the number of steps taken so far: activations for a
+// Runner, scheduled actions for an AsyncRunner.
+func (s *stepper) Steps() int { return s.step }
 
 // Moves returns the number of executed moves so far.
-func (r *Runner) Moves() int { return r.moves }
+func (s *stepper) Moves() int { return s.moves }
 
-func (r *Runner) activate(id int) (bool, error) {
-	snap, loDir := r.World.Snapshot(id)
-	d := r.Algorithm.Compute(snap)
+// look is the Look and Compute half of robot id's cycle. moving is
+// false when the robot decides to stay, which ends its cycle. Otherwise
+// dir is its move: a symmetric snapshot turns any moving decision into
+// Either, since the robot cannot tell its directions apart, and Either
+// goes the way either says. either is called once per moving decision,
+// Either or not, so an adversary's choices stay in step with the
+// decisions it sees.
+func (s *stepper) look(id int, either func() ring.Direction) (dir ring.Direction, moving bool, err error) {
+	snap, loDir := s.World.Snapshot(id)
+	d := s.Algorithm.Compute(snap)
 	if d == Stay {
-		return false, nil
+		return 0, false, nil
 	}
 	if snap.Symmetric() {
-		// The robot cannot distinguish its directions; any moving decision
-		// is adversary-resolved.
 		d = Either
 	}
-	dir, err := decisionDirection(d, loDir, r.Scheduler.ResolveEither(r.World, id, r.step))
-	if err != nil {
-		return false, err
-	}
-	ev, err := r.World.MoveRobot(id, dir)
-	if err != nil {
-		return false, fmt.Errorf("%s at step %d: %w", r.Algorithm.Name(), r.step, err)
-	}
-	ev.Step = r.step
-	r.moves++
-	for _, obs := range r.Observers {
-		obs.ObserveMove(ev, r.World)
-	}
-	return true, nil
+	dir, err = decisionDirection(d, loDir, either())
+	return dir, err == nil, err
 }
+
+// move is the Move half: robot id steps in direction dir, and the
+// event, stamped with the current step, reaches every observer. An
+// error means the algorithm violated the model (collision).
+func (s *stepper) move(id int, dir ring.Direction) error {
+	ev, err := s.World.MoveRobot(id, dir)
+	if err != nil {
+		return fmt.Errorf("%s at step %d: %w", s.Algorithm.Name(), s.step, err)
+	}
+	ev.Step = s.step
+	s.moves++
+	for _, obs := range s.Observers {
+		obs.ObserveMove(ev, s.World)
+	}
+	return nil
+}
+
+// Runner executes an algorithm with atomic Look-Compute-Move cycles,
+// activating robots 0,1,…,k−1 in turn and resolving Either clockwise:
+// the fair deterministic schedule used for verification. Atomicity
+// makes runs reproducible; the paper's algorithms guarantee at most one
+// robot ever decides to move in any reachable configuration, so atomic
+// scheduling loses no generality for them (AsyncRunner exercises the
+// general asynchronous case).
+type Runner struct {
+	stepper
+}
+
+// NewRunner wires a runner over w.
+func NewRunner(w *World, alg Algorithm) *Runner {
+	return &Runner{stepper{World: w, Algorithm: alg}}
+}
+
+// Step activates robot Steps() mod k through a full cycle and reports
+// whether it moved. An error means the algorithm violated the model
+// (collision).
+func (r *Runner) Step() (moved bool, err error) {
+	id := r.step % r.World.K()
+	dir, moving, err := r.look(id, clockwise)
+	if moving {
+		err = r.move(id, dir)
+	}
+	r.step++
+	return moving && err == nil, err
+}
+
+func clockwise() ring.Direction { return ring.CW }
 
 // RunUntil steps until stop returns true, every robot stays (quiescence),
 // or maxSteps activations elapse. It reports how it stopped.
@@ -131,7 +136,7 @@ func (r *Runner) RunUntil(stop func(w *World) bool, maxSteps int) (StopReason, e
 			idleStreak = 0
 		} else {
 			idleStreak++
-			if idleStreak >= r.World.K() && r.quiescent() {
+			if idleStreak >= r.World.K() && len(MoverSet(r.World, r.Algorithm)) == 0 {
 				return StopQuiescent, nil
 			}
 		}
@@ -140,17 +145,6 @@ func (r *Runner) RunUntil(stop func(w *World) bool, maxSteps int) (StopReason, e
 		return StopCondition, nil
 	}
 	return StopBudget, nil
-}
-
-// quiescent reports whether no robot would move if activated now.
-func (r *Runner) quiescent() bool {
-	for id := 0; id < r.World.K(); id++ {
-		snap, _ := r.World.Snapshot(id)
-		if r.Algorithm.Compute(snap).Moving() {
-			return false
-		}
-	}
-	return true
 }
 
 // MoverSet returns the identities of robots that would move if activated

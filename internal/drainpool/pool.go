@@ -587,8 +587,10 @@ func (g *generation) nextWake(nextCheck time.Time) time.Time {
 
 // checkLiveness extends the lease of every running worker whose shard
 // journal grew since the last check, collects adopted orphans that
-// dropped their flock, and kills and collects workers past their lease
-// deadline. A check stats each journal; it reads none.
+// dropped their flock, and collects workers past their lease deadline:
+// a worker whose result is already durable is only slow to exit and is
+// collected as done; any other is killed first. A check stats each
+// journal and reads only those whose lease ran out.
 func (g *generation) checkLiveness() error {
 	c := g.c
 	now := time.Now()
@@ -611,8 +613,10 @@ func (g *generation) checkLiveness() error {
 		if now.Before(w.deadline) {
 			continue
 		}
-		c.cfg.Logf("generation %d: shard %d lease expired (no journal growth for %v); killing holder", c.gen, shard, c.cfg.Lease)
-		c.killWorker(w)
+		if c.readShardResult(path) == nil {
+			c.cfg.Logf("generation %d: shard %d lease expired (no journal growth for %v); killing holder", c.gen, shard, c.cfg.Lease)
+			c.killWorker(w)
+		}
 		if err := g.collect(w); err != nil {
 			return err
 		}
@@ -620,8 +624,8 @@ func (g *generation) checkLiveness() error {
 	return nil
 }
 
-// collect reads the shard's result once its worker is gone (exited,
-// killed at lease expiry, or an orphan that dropped its flock). It
+// collect reads the shard's result once its worker is gone or done
+// (exited, past its lease, or an orphan that dropped its flock). It
 // journals the result, or marks the shard lost and arms its backoff.
 func (g *generation) collect(w *worker) error {
 	c := g.c
@@ -787,9 +791,7 @@ func (c *coordinator) noteCrash(shard int, backoffUntil map[int]time.Time) {
 
 func (c *coordinator) killWorker(w *worker) {
 	if w.adopted {
-		if w.pid > 0 {
-			syscall.Kill(w.pid, syscall.SIGKILL)
-		}
+		killPid(w.pid)
 		return
 	}
 	w.cmd.Process.Kill()
@@ -809,9 +811,19 @@ func (c *coordinator) cleanupGeneration(shards int) {
 		if pid, locked := journal.LockHolder(path); locked {
 			// A duplicate attempt is still running past the merge; its
 			// result is already superseded. Stop it before unlinking.
-			syscall.Kill(pid, syscall.SIGKILL)
+			killPid(pid)
 		}
 		os.Remove(path)
 		os.Remove(path + ".lock")
+	}
+}
+
+// killPid SIGKILLs the process pid, a lock holder's recorded pid. It
+// sends nothing for pid <= 0: a sidecar whose holder has not written
+// its pid yet reads as 0, and kill(2) would signal the coordinator's
+// own process group for 0 and every process it may signal for -1.
+func killPid(pid int) {
+	if pid > 0 {
+		syscall.Kill(pid, syscall.SIGKILL)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -30,6 +31,8 @@ const (
 	envCkptEvery  = "RINGROBOTS_POOL_CKPT_EVERY"
 	envCrashAfter = "RINGROBOTS_POOL_CRASH_AFTER"
 	envWedge      = "RINGROBOTS_POOL_WEDGE"
+	envExitDelay  = "RINGROBOTS_POOL_EXIT_DELAY"
+	envNoPidDir   = "RINGROBOTS_POOL_NO_PID_DIR"
 )
 
 func atoiEnv(key string) int {
@@ -65,6 +68,11 @@ func TestPoolWorkerHelper(t *testing.T) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// A worker that is slow to exit after its result is durable, as a
+	// race-built one is.
+	if d, err := time.ParseDuration(os.Getenv(envExitDelay)); err == nil {
+		time.Sleep(d)
+	}
 	os.Exit(0)
 }
 
@@ -75,6 +83,7 @@ type launchPlan struct {
 	mu         sync.Mutex
 	crashAfter func(WorkerSpec) int64
 	wedge      func(WorkerSpec) bool
+	exitDelay  time.Duration
 	specs      []WorkerSpec
 }
 
@@ -99,6 +108,9 @@ func (p *launchPlan) launch(spec WorkerSpec) *exec.Cmd {
 	}
 	if p.wedge != nil && p.wedge(spec) {
 		env = append(env, envWedge+"=1")
+	}
+	if p.exitDelay > 0 {
+		env = append(env, envExitDelay+"="+p.exitDelay.String())
 	}
 	cmd.Env = env
 	return cmd
@@ -545,6 +557,78 @@ func TestPoolLeaseExpiryReassignment(t *testing.T) {
 	}
 	if !expired {
 		t.Fatalf("wedged worker's lease never expired; log:\n%s", strings.Join(lines, "\n"))
+	}
+}
+
+// TestPoolSlowExitIsNotExpired: every worker sleeps for longer than its
+// lease between journaling its result and exiting. A lease that runs out
+// on a durable result collects the shard as done, without a "lease
+// expired" line or a kill.
+func TestPoolSlowExitIsNotExpired(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess drain pool in -short mode")
+	}
+	inst := feasibility.Instance{N: 7, K: 3}
+	want := oracleVerdict(t, inst)
+	plan := &launchPlan{exitDelay: 1500 * time.Millisecond}
+	cfg := testConfig(t.TempDir(), inst, plan)
+	cfg.Lease = 300 * time.Millisecond
+	var mu sync.Mutex
+	var lines []string
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	got, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("pool run with slow-exiting workers: %v", err)
+	}
+	checkAgainstOracle(t, got, want)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.Contains(l, "lease expired") || strings.Contains(l, "worker lost") {
+			t.Fatalf("a worker with a durable result was expired; log:\n%s", strings.Join(lines, "\n"))
+		}
+	}
+}
+
+// TestCleanupKillsNoPidZeroHelper is the subprocess body of
+// TestCleanupKillsNoPidZero, not a test: it holds a shard's lock
+// sidecar without a pid in it, as a worker does between taking the
+// flock and writing its pid, and runs cleanupGeneration over it.
+func TestCleanupKillsNoPidZeroHelper(t *testing.T) {
+	dir := os.Getenv(envNoPidDir)
+	if dir == "" {
+		t.Skip("subprocess helper")
+	}
+	lock, err := os.Create(shardJournalPath(dir, 1, 0) + ".lock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lock.Close()
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX); err != nil {
+		t.Fatal(err)
+	}
+	if pid, locked := journal.LockHolder(shardJournalPath(dir, 1, 0)); !locked || pid != 0 {
+		t.Fatalf("LockHolder = %d, %v; want 0, true", pid, locked)
+	}
+	(&coordinator{cfg: Config{Dir: dir}, gen: 1}).cleanupGeneration(1)
+	fmt.Println("cleanup survived")
+}
+
+// TestCleanupKillsNoPidZero: a locked sidecar that names no pid makes
+// cleanupGeneration send no signal; kill(2) with pid 0 would kill the
+// caller's process group. The helper runs in a process group of its
+// own, so a regression kills only the helper.
+func TestCleanupKillsNoPidZero(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestCleanupKillsNoPidZeroHelper$", "-test.v")
+	cmd.Env = append(os.Environ(), envNoPidDir+"="+t.TempDir())
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	out, err := cmd.CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("cleanup survived")) {
+		t.Fatalf("helper: %v\n%s", err, out)
 	}
 }
 

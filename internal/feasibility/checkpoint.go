@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"ringrobots/internal/config"
@@ -50,11 +51,13 @@ type Checkpoint struct {
 	tierIndex int // index into inst.PendingTiers of the suspended tier
 
 	// counters is the cumulative Result so far (SurvivorTable stripped;
-	// the prior survivor travels as entries below).
+	// the prior survivor travels below).
 	counters Result
 
-	hasPrior bool
-	prior    []pruneEntry // prior tiers' surviving table, sorted by obs
+	// prior is the prior tiers' surviving table, nil before any tier
+	// produced one. It is never mutated, so checkpoints derived from
+	// this one share it.
+	prior Table
 
 	// nodes lists every tableNode on some frontier chain, parents
 	// strictly before children; frontier indexes the open branches in
@@ -76,28 +79,10 @@ func (s *Solver) modes() searchModes {
 	return searchModes{noQuotient: s.NoQuotient, noIncremental: s.NoIncremental, noPrune: s.NoPrune}
 }
 
-// tableEntries flattens a table into entries sorted by observation —
-// the deterministic serialized form of a survivor.
-func tableEntries(t Table) []pruneEntry {
-	entries := make([]pruneEntry, 0, len(t))
-	for o, d := range t {
-		entries = append(entries, pruneEntry{obs: o, d: d})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].obs.Less(entries[j].obs) })
-	return entries
-}
-
-// priorSurvivor rebuilds the prior tiers' surviving table (nil if the
-// drain was suspended before any tier produced one).
+// priorSurvivor returns a copy of the prior tiers' surviving table
+// (nil if the drain was suspended before any tier produced one).
 func (ck *Checkpoint) priorSurvivor() Table {
-	if !ck.hasPrior {
-		return nil
-	}
-	t := make(Table, len(ck.prior))
-	for _, e := range ck.prior {
-		t[e.obs] = e.d
-	}
-	return t
+	return maps.Clone(ck.prior)
 }
 
 // captureCheckpoint flattens the live drain state. frontier must be the
@@ -107,10 +92,7 @@ func (ck *Checkpoint) priorSurvivor() Table {
 func (s *Solver) captureCheckpoint(inst Instance, ti int, counters Result, survivor Table, frontier []*tableNode, prune *pruneState) *Checkpoint {
 	counters.SurvivorTable = nil
 	ck := &Checkpoint{version: SolverVersion, inst: inst, modes: s.modes(), tierIndex: ti, counters: counters}
-	if survivor != nil {
-		ck.hasPrior = true
-		ck.prior = tableEntries(survivor)
-	}
+	ck.prior = maps.Clone(survivor)
 	index := make(map[*tableNode]int32)
 	var addNode func(nd *tableNode) int32
 	addNode = func(nd *tableNode) int32 {
@@ -228,7 +210,7 @@ func (ck *Checkpoint) Stats() CheckpointStats {
 		TablesExplored:   ck.counters.TablesExplored,
 		ExpansionUnits:   ck.counters.ExpansionUnits,
 		Credits:          len(ck.credits),
-		HasPriorSurvivor: ck.hasPrior,
+		HasPriorSurvivor: ck.prior != nil,
 	}
 	if ck.tierIndex >= 0 && ck.tierIndex < len(ck.inst.PendingTiers) {
 		st.Tier = ck.inst.PendingTiers[ck.tierIndex]
@@ -278,15 +260,41 @@ func decodeObsKey(b []byte) (ObsKey, int, error) {
 	return ObsKey{Lo: lo, Hi: hi}, n1 + n2, nil
 }
 
-func appendEntry(b []byte, e pruneEntry) []byte {
-	b = appendObsKey(b, e.obs)
-	return binary.AppendUvarint(b, uint64(e.d))
+// AppendBinary appends the table's wire form to b: the entry count,
+// then each entry's observation (Lo, Hi) and decision (a uvarint) in
+// ObsKey.Less order, so equal tables encode to equal bytes. It is the
+// one encoding of a table: a checkpoint's prior survivor, a shard's
+// survivor, a journaled Result's survivor and a stored verdict's
+// (internal/verdictstore). DecodeTable reads it back.
+func (t Table) AppendBinary(b []byte) []byte {
+	obs := make([]ObsKey, 0, len(t))
+	for o := range t {
+		obs = append(obs, o)
+	}
+	sort.Slice(obs, func(i, j int) bool { return obs[i].Less(obs[j]) })
+	b = binary.AppendUvarint(b, uint64(len(obs)))
+	for _, o := range obs {
+		b = appendObsKey(b, o)
+		b = binary.AppendUvarint(b, uint64(t[o]))
+	}
+	return b
 }
 
-var errTruncatedCkpt = errors.New("feasibility: truncated checkpoint encoding")
+// DecodeTable decodes the table that Table.AppendBinary wrote at the
+// front of b and returns it with the number of bytes it took.
+func DecodeTable(b []byte) (Table, int, error) {
+	d := &ckptDecoder{b: b}
+	t := d.table()
+	if d.err != nil {
+		return nil, 0, d.err
+	}
+	return t, len(b) - len(d.b), nil
+}
 
-// ckptDecoder is a cursor with sticky error handling over the encoded
-// checkpoint.
+var errTruncated = errors.New("feasibility: truncated encoding")
+
+// ckptDecoder is a cursor with sticky error handling over an encoded
+// checkpoint, shard result, result or table.
 type ckptDecoder struct {
 	b   []byte
 	err error
@@ -298,7 +306,7 @@ func (d *ckptDecoder) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		d.err = errTruncatedCkpt
+		d.err = errTruncated
 		return 0
 	}
 	d.b = d.b[n:]
@@ -311,7 +319,7 @@ func (d *ckptDecoder) varint() int64 {
 	}
 	v, n := binary.Varint(d.b)
 	if n <= 0 {
-		d.err = errTruncatedCkpt
+		d.err = errTruncated
 		return 0
 	}
 	d.b = d.b[n:]
@@ -323,7 +331,7 @@ func (d *ckptDecoder) bytes(n int) []byte {
 		return nil
 	}
 	if n < 0 || n > len(d.b) {
-		d.err = errTruncatedCkpt
+		d.err = errTruncated
 		return nil
 	}
 	out := d.b[:n]
@@ -351,7 +359,7 @@ func (d *ckptDecoder) count(min int) int {
 		min = 1
 	}
 	if v > uint64(len(d.b)/min) {
-		d.err = errTruncatedCkpt
+		d.err = errTruncated
 		return 0
 	}
 	return int(v)
@@ -373,9 +381,19 @@ func (d *ckptDecoder) obsKey() ObsKey {
 func (d *ckptDecoder) decision() Decision {
 	v := d.uvarint()
 	if d.err == nil && v > uint64(DEither) {
-		d.err = fmt.Errorf("feasibility: checkpoint decision %d out of range", v)
+		d.err = fmt.Errorf("feasibility: decision %d out of range", v)
 	}
 	return Decision(v)
+}
+
+func (d *ckptDecoder) table() Table {
+	n := d.count(3)
+	t := make(Table, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		o := d.obsKey()
+		t[o] = d.decision()
+	}
+	return t
 }
 
 // appendCredits writes a credit list — a count, then per credit its
@@ -415,12 +433,9 @@ func (d *ckptDecoder) credits() []ckptCredit {
 // or an out-of-range decision still fails the decode — and discarded,
 // so stored checkpoints and in-flight drains still resume.
 func (d *ckptDecoder) skipLegacyNogoods() {
-	for i := d.count(2); i > 0; i-- {
+	for i := d.count(2); i > 0 && d.err == nil; i-- {
 		d.uvarint()
-		for j := d.count(3); j > 0; j-- {
-			d.obsKey()
-			d.decision()
-		}
+		d.table()
 	}
 }
 
@@ -446,7 +461,7 @@ func (ck *Checkpoint) MarshalBinary() ([]byte, error) {
 	if ck.modes.noPrune {
 		flags |= 4
 	}
-	if ck.hasPrior {
+	if ck.prior != nil {
 		flags |= 8
 	}
 	b = append(b, flags)
@@ -456,11 +471,8 @@ func (ck *Checkpoint) MarshalBinary() ([]byte, error) {
 	}
 	b = binary.AppendUvarint(b, uint64(ck.tierIndex))
 	b = appendResultCounters(b, &ck.counters)
-	if ck.hasPrior {
-		b = binary.AppendUvarint(b, uint64(len(ck.prior)))
-		for _, e := range ck.prior {
-			b = appendEntry(b, e)
-		}
+	if ck.prior != nil {
+		b = ck.prior.AppendBinary(b)
 	}
 	b = binary.AppendUvarint(b, uint64(len(ck.nodes)))
 	for _, nd := range ck.nodes {
@@ -494,20 +506,14 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	ck.inst.MaxCycleLen = int(d.uvarint())
 	flags := d.byte()
 	ck.modes = searchModes{noQuotient: flags&1 != 0, noIncremental: flags&2 != 0, noPrune: flags&4 != 0}
-	ck.hasPrior = flags&8 != 0
 	ck.inst.PendingTiers = make([]int, 0, d.count(1))
 	for i := cap(ck.inst.PendingTiers); i > 0; i-- {
 		ck.inst.PendingTiers = append(ck.inst.PendingTiers, int(d.uvarint()))
 	}
 	ck.tierIndex = int(d.uvarint())
 	d.resultCounters(&ck.counters)
-	if ck.hasPrior {
-		n := d.count(3)
-		ck.prior = make([]pruneEntry, 0, n)
-		for i := 0; i < n; i++ {
-			obs := d.obsKey()
-			ck.prior = append(ck.prior, pruneEntry{obs: obs, d: d.decision()})
-		}
+	if flags&8 != 0 {
+		ck.prior = d.table()
 	}
 	nNodes := d.count(4)
 	ck.nodes = make([]ckptNode, 0, nNodes)

@@ -122,11 +122,7 @@ func TestFaultHelperProcess(t *testing.T) {
 	v = binary.AppendUvarint(v, uint64(res.Tier))
 	v = binary.AppendUvarint(v, uint64(res.TablesExplored))
 	if res.SurvivorTable != nil {
-		entries := tableEntries(res.SurvivorTable)
-		v = binary.AppendUvarint(v, uint64(len(entries)))
-		for _, e := range entries {
-			v = appendEntry(v, e)
-		}
+		v = res.SurvivorTable.AppendBinary(v)
 	}
 	if err := log.Append(v); err != nil {
 		fail("journal verdict: %v", err)

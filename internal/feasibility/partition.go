@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -94,8 +95,7 @@ func (ck *Checkpoint) Partition(k int) ([]*Checkpoint, error) {
 			modes:     ck.modes,
 			tierIndex: ck.tierIndex,
 			counters:  Result{Tier: ck.counters.Tier},
-			hasPrior:  ck.hasPrior,
-			prior:     append([]pruneEntry(nil), ck.prior...),
+			prior:     ck.prior,
 			credits:   append([]ckptCredit(nil), ck.credits...),
 		}
 		// Filter the node list in place-order: parents precede children
@@ -233,12 +233,7 @@ func (r *ShardResult) MarshalBinary() ([]byte, error) {
 	case r.Refuted:
 		b = append(b, shardRefuted)
 	case r.Survivor != nil:
-		b = append(b, shardSurvivor)
-		entries := tableEntries(r.Survivor)
-		b = binary.AppendUvarint(b, uint64(len(entries)))
-		for _, e := range entries {
-			b = appendEntry(b, e)
-		}
+		b = r.Survivor.AppendBinary(append(b, shardSurvivor))
 	default:
 		b = append(b, shardSuspended)
 		enc, err := r.Suspended.MarshalBinary()
@@ -264,13 +259,7 @@ func UnmarshalShardResult(data []byte) (*ShardResult, error) {
 	case shardRefuted:
 		r.Refuted = true
 	case shardSurvivor:
-		n := d.count(3)
-		t := make(Table, n)
-		for i := 0; i < n; i++ {
-			obs := d.obsKey()
-			t[obs] = d.decision()
-		}
-		r.Survivor = t
+		r.Survivor = d.table()
 	case shardSuspended:
 		enc := d.bytes(int(d.uvarint()))
 		if d.err == nil {
@@ -314,11 +303,7 @@ func MarshalResult(res Result) ([]byte, error) {
 	b = append(b, flag)
 	b = appendResultCounters(b, &res)
 	if res.SurvivorTable != nil {
-		entries := tableEntries(res.SurvivorTable)
-		b = binary.AppendUvarint(b, uint64(len(entries)))
-		for _, e := range entries {
-			b = appendEntry(b, e)
-		}
+		b = res.SurvivorTable.AppendBinary(b)
 	}
 	return b, nil
 }
@@ -334,13 +319,7 @@ func UnmarshalResult(data []byte) (Result, error) {
 	res.Impossible = flag&1 != 0
 	d.resultCounters(&res)
 	if flag&2 != 0 {
-		n := d.count(3)
-		t := make(Table, n)
-		for i := 0; i < n; i++ {
-			obs := d.obsKey()
-			t[obs] = d.decision()
-		}
-		res.SurvivorTable = t
+		res.SurvivorTable = d.table()
 	}
 	if d.err != nil {
 		return res, d.err
@@ -374,13 +353,8 @@ func (ck *Checkpoint) sameShardHeader(sh *Checkpoint) error {
 	if sh.tierIndex != ck.tierIndex {
 		return fmt.Errorf("feasibility: suspended shard checkpoint is at tier index %d, base is at %d", sh.tierIndex, ck.tierIndex)
 	}
-	if sh.hasPrior != ck.hasPrior || len(sh.prior) != len(ck.prior) {
+	if (sh.prior != nil) != (ck.prior != nil) || !maps.Equal(sh.prior, ck.prior) {
 		return errors.New("feasibility: suspended shard checkpoint has a different prior survivor")
-	}
-	for i, e := range ck.prior {
-		if sh.prior[i] != e {
-			return errors.New("feasibility: suspended shard checkpoint has a different prior survivor")
-		}
 	}
 	return nil
 }
@@ -490,8 +464,7 @@ func (ck *Checkpoint) Merge(shards int, results []ShardResult) (*Result, *Checkp
 		modes:     ck.modes,
 		tierIndex: ck.tierIndex,
 		counters:  counters,
-		hasPrior:  ck.hasPrior,
-		prior:     append([]pruneEntry(nil), ck.prior...),
+		prior:     ck.prior,
 	}
 	merged.counters.SurvivorTable = nil
 	type nodeKey struct {
@@ -619,8 +592,7 @@ func (ck *Checkpoint) advanceTier(survivor Table, counters Result) (*Checkpoint,
 		modes:     ck.modes,
 		tierIndex: ck.tierIndex + 1,
 		counters:  counters,
-		hasPrior:  true,
-		prior:     tableEntries(survivor),
+		prior:     maps.Clone(survivor),
 		nodes:     []ckptNode{{parent: -1}},
 		frontier:  []int32{0},
 	}, nil

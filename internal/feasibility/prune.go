@@ -55,13 +55,6 @@ import (
 // later per-tier reset moved (5,9) far more than any weight choice).
 const pruneCreditWeight = 4
 
-// pruneEntry is one (observation, decision) binding: the serialized
-// form of a table entry (the prior survivor, checkpoint nodes).
-type pruneEntry struct {
-	obs ObsKey
-	d   Decision
-}
-
 // creditChunk is one block of the per-id credit directory.
 type creditChunk [1 << obsChunkBits]atomic.Int64
 

@@ -1,7 +1,9 @@
 // Package journal implements the append-only record log that backs
 // checkpointable solver drains: length-prefixed, CRC-checksummed
 // records, torn-tail truncation on open, an fsync policy flag, and
-// atomic snapshot compaction via temp-file + rename.
+// atomic snapshot compaction via temp-file + rename (WriteFileAtomic,
+// which Repair and cmd/bench's report writer share; the rewritten file
+// keeps its mode).
 //
 // On-disk format: a log is a concatenation of records, each
 //
@@ -395,53 +397,77 @@ func syncDir(path string) error {
 	return nil
 }
 
+// WriteFileAtomic replaces the file at path with data so that a crash
+// at any point leaves the old file or the new one, never a mix. It is
+// the one atomic rewrite behind Compact, Repair and cmd/bench's report:
+// a temp file in path's directory gets data in one Write (a short
+// write is an error), is fsynced, closed, given its mode and renamed
+// over path, and then the directory is fsynced so the rename is
+// durable. A failure before the rename removes the temp file and
+// leaves path untouched. renamed reports whether the rename happened;
+// after it, a non-nil err is the directory fsync's: the new file is in
+// place but the rename may not survive a crash.
+//
+// The new file keeps the mode of the file it replaces, or gets the
+// mode OpenFS creates (0644 less the umask) when path does not exist.
+// Like the directory fsync, the chmod goes to the real OS; every other
+// step goes through fsys.
+func WriteFileAtomic(fsys faultfs.FS, path string, data []byte) (renamed bool, err error) {
+	perm := 0o644 &^ umask
+	if fi, err := fsys.Stat(path); err == nil {
+		perm = fi.Mode().Perm()
+	}
+	tmp, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return false, err
+	}
+	tmpName := tmp.Name()
+	n, err := tmp.Write(data)
+	if err == nil && n < len(data) {
+		err = io.ErrShortWrite
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmpName, perm)
+	}
+	if err == nil {
+		err = fsys.Rename(tmpName, path)
+	}
+	if err != nil {
+		fsys.Remove(tmpName)
+		return false, err
+	}
+	if err := syncDir(path); err != nil {
+		return true, fmt.Errorf("journal: fsync of %s after renaming over %s: %w", filepath.Dir(path), filepath.Base(path), err)
+	}
+	return true, nil
+}
+
 // Compact atomically replaces the log's contents with the given
-// records (typically just the latest snapshot): the new log image is
-// built in memory, written to a temp file in the same directory with
-// one Write, fsynced, and renamed over the old one, so a crash at any
-// point leaves either the old log or the new one — never a mix. A
-// failed or short temp-file write removes the temp file and leaves the
-// log untouched and usable. A directory-fsync failure after the rename
-// is surfaced (the rename may not be durable) and sticky-fails the
-// log, but the in-memory handle is swapped to the renamed file first so
-// no appends could land on the unlinked inode.
+// records (typically just the latest snapshot) through
+// WriteFileAtomic, so a crash at any point leaves either the old log or
+// the new one — never a mix. A failure before the rename leaves the log
+// untouched and usable. A directory-fsync failure after the rename is
+// surfaced (the rename may not be durable) and sticky-fails the log,
+// but the in-memory handle is swapped to the renamed file first so no
+// appends could land on the unlinked inode.
 func (l *Log) Compact(keep [][]byte) error {
 	if l.failed != nil {
 		return l.failed
-	}
-	dir := filepath.Dir(l.path)
-	tmp, err := l.fsys.CreateTemp(dir, filepath.Base(l.path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		l.fsys.Remove(tmpName)
-		return err
 	}
 	var buf []byte
 	for _, rec := range keep {
 		buf = AppendRecord(buf, rec)
 	}
-	n, err := tmp.Write(buf)
-	if err == nil && n < len(buf) {
-		err = io.ErrShortWrite
+	renamed, dirErr := WriteFileAtomic(l.fsys, l.path, buf)
+	if !renamed {
+		return dirErr
 	}
-	if err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := l.fsys.Rename(tmpName, l.path); err != nil {
-		l.fsys.Remove(tmpName)
-		return err
-	}
-	dirErr := syncDir(l.path)
 	// Swap the handle to the new file and reposition for appending.
 	// This happens even when the directory fsync failed: the old fd
 	// points at an unlinked inode, and appends there would be silently
@@ -467,7 +493,7 @@ func (l *Log) Compact(keep [][]byte) error {
 		l.last = nil
 	}
 	if dirErr != nil {
-		return l.fail(fmt.Errorf("fsync of %s after compaction rename: %w", dir, dirErr))
+		return l.fail(dirErr)
 	}
 	return nil
 }

@@ -257,3 +257,71 @@ func TestSyncSkipsWhenNothingPending(t *testing.T) {
 		l.Close()
 	}
 }
+
+// TestRewriteKeepsMode: Compact and Repair leave the journal at the
+// mode OpenFS created it with, not at the temp file's 0600; a rewrite
+// keeps a mode set by hand, and WriteFileAtomic gives a new file the
+// mode OpenFS would (0644 less the umask).
+func TestRewriteKeepsMode(t *testing.T) {
+	dir := t.TempDir()
+	mode := func(path string) os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	path := filepath.Join(dir, "j.log")
+	l := openT(t, path, SyncAlways)
+	want := mode(path)
+	if want != 0o644&^umask {
+		t.Fatalf("OpenFS created mode %v, want %v", want, 0o644&^umask)
+	}
+	for _, r := range []string{"a", "b", "c"} {
+		if err := l.Append([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Compact([][]byte{[]byte("c")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := mode(path); got != want {
+		t.Fatalf("mode after Compact = %v, want %v", got, want)
+	}
+	l.Close()
+
+	// Damage the middle of a three-record journal so Repair rewrites it.
+	buf := AppendRecord(nil, []byte("x"))
+	buf = AppendRecord(buf, []byte("victim"))
+	buf = AppendRecord(buf, []byte("y"))
+	buf[2*headerSize+1] ^= 0x40
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Repair(faultfs.OS{}, path); err != nil || rep.RecordsKept != 2 {
+		t.Fatalf("Repair = %+v, %v", rep, err)
+	}
+	if got := mode(path); got != want {
+		t.Fatalf("mode after Repair = %v, want %v", got, want)
+	}
+
+	if err := os.Chmod(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	l = openT(t, path, SyncAlways)
+	if err := l.Compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := mode(path); got != 0o600 {
+		t.Fatalf("mode after compacting a 0600 journal = %v, want 0600", got)
+	}
+
+	fresh := filepath.Join(dir, "report.json")
+	if renamed, err := WriteFileAtomic(faultfs.OS{}, fresh, []byte("{}\n")); !renamed || err != nil {
+		t.Fatalf("WriteFileAtomic = %v, %v", renamed, err)
+	}
+	if got := mode(fresh); got != want {
+		t.Fatalf("new file mode = %v, want %v", got, want)
+	}
+}

@@ -12,5 +12,8 @@ func acquireLock(path string) (*os.File, error) { return nil, nil }
 
 func releaseLock(lf *os.File) error { return nil }
 
+// umask is zero where the platform has none.
+const umask os.FileMode = 0
+
 // LockHolder always reports the lock free on platforms without flock.
 func LockHolder(path string) (pid int, locked bool) { return 0, false }

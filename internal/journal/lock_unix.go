@@ -36,6 +36,16 @@ func acquireLock(path string) (*os.File, error) {
 	return lf, nil
 }
 
+// umask is the process's file-creation mask, which WriteFileAtomic
+// applies to a new file's 0644. Reading it means setting it, so it is
+// read once during package initialization, before any goroutine of the
+// program can create a file.
+var umask = func() os.FileMode {
+	m := syscall.Umask(0o077)
+	syscall.Umask(m)
+	return os.FileMode(m)
+}()
+
 func releaseLock(lf *os.File) error {
 	if lf == nil {
 		return nil

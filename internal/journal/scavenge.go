@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"ringrobots/internal/faultfs"
 )
@@ -127,12 +126,13 @@ type RepairReport struct {
 // exactly the recovered records, quarantining every damaged span —
 // byte-exact, with its original offset — to the path+".quarantine"
 // sidecar before anything is discarded. The rewrite is atomic
-// (temp + fsync + rename + dir fsync), and the quarantine sidecar is
-// synced before the rename, so a crash at any point leaves either the
-// original journal or the repaired one, never a state where damaged
-// bytes are gone without a quarantine copy. Repair takes the
-// journal's advisory writer lock; it fails with ErrLocked while a
-// live writer holds the journal.
+// (WriteFileAtomic: temp + fsync + rename + dir fsync, keeping the
+// journal's mode), and the quarantine sidecar is synced before the
+// rename, so a crash at any point leaves either the original journal
+// or the repaired one, never a state where damaged bytes are gone
+// without a quarantine copy. Repair takes the journal's advisory
+// writer lock; it fails with ErrLocked while a live writer holds the
+// journal.
 //
 // Quarantine sidecar format: itself a journal, one record per span,
 // payload = [8-byte LE original byte offset][raw damaged bytes].
@@ -187,36 +187,12 @@ func Repair(fsys faultfs.FS, path string) (RepairReport, error) {
 	}
 
 	// Atomic rewrite with exactly the recovered records.
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".repair*")
-	if err != nil {
-		return rep, err
-	}
-	tmpName := tmp.Name()
-	bail := func(err error) (RepairReport, error) {
-		tmp.Close()
-		fsys.Remove(tmpName)
-		return rep, err
-	}
 	var rec []byte
 	for _, payload := range sc.Records {
-		rec = AppendRecord(rec[:0], payload)
-		if _, err := tmp.Write(rec); err != nil {
-			return bail(fmt.Errorf("journal: writing repaired log: %w", err))
-		}
+		rec = AppendRecord(rec, payload)
 	}
-	if err := tmp.Sync(); err != nil {
-		return bail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return bail(err)
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		fsys.Remove(tmpName)
-		return rep, err
-	}
-	if err := syncDir(path); err != nil {
-		return rep, fmt.Errorf("journal: fsync of %s after repair rename: %w", dir, err)
+	if _, err := WriteFileAtomic(fsys, path, rec); err != nil {
+		return rep, fmt.Errorf("journal: rewriting repaired log: %w", err)
 	}
 	return rep, nil
 }

@@ -2,7 +2,10 @@
 // unfinished drains in one journal, keyed by instance. Store.Drain is
 // the journaled solve that both the verdict service (/solve) and the
 // single-process cmd/drain run, so a drained journal is a store the
-// service serves as-is.
+// service serves as-is. A verdict's survivor is stored in
+// feasibility.Table's wire form (Table.AppendBinary, DecodeTable), the
+// encoding checkpoints and shard results use, and compaction is the
+// journal's one atomic rewrite, which keeps the journal's mode.
 package verdictstore
 
 import (
@@ -13,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ringrobots/internal/config"
 	"ringrobots/internal/faultfs"
 	"ringrobots/internal/feasibility"
 	"ringrobots/internal/journal"
@@ -63,26 +65,11 @@ func VerdictOf(res feasibility.Result) Verdict {
 	}
 }
 
-// survivorEntry is one (observation, decision) pair in canonical
-// (sorted) order for the deterministic encoding.
-type survivorEntry struct {
-	obs feasibility.ObsKey
-	d   feasibility.Decision
-}
-
-func sortedSurvivor(t feasibility.Table) []survivorEntry {
-	entries := make([]survivorEntry, 0, len(t))
-	for o, d := range t {
-		entries = append(entries, survivorEntry{obs: o, d: d})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].obs.Less(entries[j].obs) })
-	return entries
-}
-
-// EncodeVerdict emits the deterministic binary body of a verdict
-// (survivor entries sorted by observation): encoding the same verdict
-// twice yields identical bytes, so fault tests can diff stored
-// verdicts across crash-riddled runs.
+// EncodeVerdict emits the deterministic binary body of a verdict: a
+// flags byte, the tier and counters, then the survivor, if any, in
+// feasibility.Table's wire form (entries sorted by observation).
+// Encoding the same verdict twice yields identical bytes, so fault
+// tests can diff stored verdicts across crash-riddled runs.
 func EncodeVerdict(v Verdict) []byte {
 	b := make([]byte, 0, 32+16*len(v.Survivor))
 	var flags byte
@@ -97,17 +84,12 @@ func EncodeVerdict(v Verdict) []byte {
 	b = binary.AppendUvarint(b, uint64(v.TablesExplored))
 	b = binary.AppendVarint(b, v.ExpansionUnits)
 	if v.Survivor != nil {
-		b = binary.AppendUvarint(b, uint64(len(v.Survivor)))
-		for _, e := range sortedSurvivor(v.Survivor) {
-			b = e.obs.Lo.AppendBinary(b)
-			b = e.obs.Hi.AppendBinary(b)
-			b = binary.AppendUvarint(b, uint64(e.d))
-		}
+		b = v.Survivor.AppendBinary(b)
 	}
 	return b
 }
 
-// storeDecoder is a sticky-error cursor over a record payload.
+// storeDecoder is a sticky-error cursor over a verdict body.
 type storeDecoder struct {
 	b   []byte
 	err error
@@ -141,58 +123,21 @@ func (d *storeDecoder) varint() int64 {
 	return v
 }
 
-func (d *storeDecoder) bytes(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(d.b) {
-		d.err = errTruncatedRecord
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *storeDecoder) canonKey() config.CanonKey {
-	if d.err != nil {
-		return config.CanonKey{}
-	}
-	k, n, err := config.DecodeCanonKey(d.b)
-	if err != nil {
-		d.err = err
-		return config.CanonKey{}
-	}
-	d.b = d.b[n:]
-	return k
-}
-
 // DecodeVerdict parses a body written by EncodeVerdict.
 func DecodeVerdict(b []byte) (Verdict, error) {
-	d := &storeDecoder{b: b}
-	flagBytes := d.bytes(1)
-	var flags byte
-	if d.err == nil {
-		flags = flagBytes[0]
+	if len(b) == 0 {
+		return Verdict{}, errTruncatedRecord
 	}
+	flags := b[0]
+	d := &storeDecoder{b: b[1:]}
 	v := Verdict{Impossible: flags&1 != 0}
 	v.Tier = int(d.uvarint())
 	v.TablesExplored = int(d.uvarint())
 	v.ExpansionUnits = d.varint()
-	if flags&2 != 0 {
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.b)) {
-			return Verdict{}, errTruncatedRecord
-		}
-		v.Survivor = make(feasibility.Table, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			obs := feasibility.ObsKey{Lo: d.canonKey(), Hi: d.canonKey()}
-			dec := d.uvarint()
-			if d.err == nil && dec > uint64(feasibility.DEither) {
-				return Verdict{}, fmt.Errorf("verdictstore: verdict decision %d out of range", dec)
-			}
-			v.Survivor[obs] = feasibility.Decision(dec)
-		}
+	if flags&2 != 0 && d.err == nil {
+		var n int
+		v.Survivor, n, d.err = feasibility.DecodeTable(d.b)
+		d.b = d.b[n:]
 	}
 	if d.err != nil {
 		return Verdict{}, d.err

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -68,6 +70,35 @@ func TestVerdictEncodeDecodeRoundTrip(t *testing.T) {
 		if _, err := DecodeVerdict(append(append([]byte(nil), enc...), 7)); err == nil {
 			t.Errorf("%s: trailing garbage decoded without error", inst)
 		}
+	}
+}
+
+// survivorVerdictHex is EncodeVerdict of the survivor verdict that
+// TestVerdictEncodeDecodeRoundTrip builds — (5,3), cycle cap 2, tiers
+// {0}: tier 0, 11 tables, 316 units, a 4-entry survivor — as written
+// before verdictstore shared feasibility's table encoding.
+const survivorVerdictHex = "02000bf8040485808080808080880c0085808080808080880c000086808080808080880c" +
+	"0083808080808080880c000288808080808080900c0088808080808080900c0000a0808080808080900c0082808080808080900c0002"
+
+// TestSurvivorVerdictBytesPinned: a survivor verdict encodes to the
+// pinned bytes, and the pinned bytes decode to the same verdict.
+func TestSurvivorVerdictBytesPinned(t *testing.T) {
+	inst := feasibility.Instance{N: 5, K: 3, MaxCycleLen: 2, PendingTiers: []int{0}}
+	v := VerdictOf(solveDirect(t, inst))
+	if got := hex.EncodeToString(EncodeVerdict(v)); got != survivorVerdictHex {
+		t.Fatalf("EncodeVerdict = %s\nwant            %s", got, survivorVerdictHex)
+	}
+	raw, err := hex.DecodeString(survivorVerdictHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeVerdict(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Impossible || got.Tier != 0 || got.TablesExplored != 11 || got.ExpansionUnits != 316 ||
+		!maps.Equal(got.Survivor, v.Survivor) || len(got.Survivor) != 4 {
+		t.Fatalf("pinned verdict decodes to %+v, want %+v", got, v)
 	}
 }
 

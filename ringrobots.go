@@ -124,7 +124,9 @@ func NewAlgorithm(task Task, n, k int) (Algorithm, error) { return core.New(task
 // rigid starting configuration.
 func NewWorld(task Task, c Config) (*World, error) { return core.NewWorld(task, c) }
 
-// NewRunner wires a deterministic round-robin runner.
+// NewRunner wires the deterministic runner: step i activates robot
+// i mod k through one atomic Look-Compute-Move cycle, and every Either
+// decision goes clockwise.
 func NewRunner(w *World, alg Algorithm) *Runner { return corda.NewRunner(w, alg) }
 
 // NewAsyncRunner wires a fully asynchronous runner with the given
